@@ -33,9 +33,6 @@ from .exactnum import (
     pochhammer,
     rational,
     set_backend,
-    surd_add,
-    surd_mul,
-    surd_scale,
 )
 from .fockoracle import (
     BosonOperator,

@@ -6,20 +6,25 @@ needed here.  Three independent evaluation routes for the bracket are
 provided (factored, fully expanded, Pochhammer series) plus the closed form
 for the stretched sigma = N column; their mutual equality is a test, not an
 assumption.
+
+The factored route keeps its factors: bracket(n, sigma) = u_n v_sigma Q[n][sigma]
+with u_n = sqrt((N-n)!)/|B(n, tau)| and v_sigma = |A(N, sigma)| Fnorm(sigma, tau)
+positive surds and Q the signed rational k-sum.  A BracketTable stores u**2,
+v**2 and Q, so its orthogonality is an identity between rational matrices.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from ._backend import rational
 from .exactnum import (
     DomainError,
-    SurdSumError,
     SurdValue,
-    binomial,
     double_factorial,
     factorial,
     pochhammer,
@@ -66,13 +71,15 @@ def coeff_B(nu: int, n: int, tau: int) -> SurdValue:
         raise LabelError(f"n={n} must be >= tau={tau}")
     if (n - tau) % 2:
         raise LabelError(f"n - tau must be even, got n={n}, tau={tau}")
-    value = SurdValue.sqrt(
-        rational(
-            double_factorial(2 * tau + nu - 2),
-            double_factorial(n + tau + nu - 2) * double_factorial(n - tau),
-        )
-    )
+    value = SurdValue.sqrt(_coeff_B_sq(nu, n, tau))
     return -value if ((n - tau) // 2) % 2 else value
+
+
+def _coeff_B_sq(nu: int, n: int, tau: int):
+    return rational(
+        double_factorial(2 * tau + nu - 2),
+        double_factorial(n + tau + nu - 2) * double_factorial(n - tau),
+    )
 
 
 def coeff_A(nu: int, N: int, sigma: int) -> SurdValue:
@@ -84,21 +91,21 @@ def coeff_A(nu: int, N: int, sigma: int) -> SurdValue:
         raise LabelError(f"N={N} must be >= sigma={sigma}")
     if (N - sigma) % 2:
         raise LabelError(f"N - sigma must be even, got N={N}, sigma={sigma}")
-    value = SurdValue.sqrt(
-        rational(
-            double_factorial(2 * sigma + nu - 1),
-            double_factorial(N + sigma + nu - 1) * double_factorial(N - sigma),
-        )
-    )
+    value = SurdValue.sqrt(_coeff_A_sq(nu, N, sigma))
     return -value if ((N - sigma) // 2) % 2 else value
 
 
-def _coeff_F_norm(nu: int, sigma: int, tau: int) -> SurdValue:
-    return SurdValue.sqrt(
-        rational(
-            factorial(sigma - tau) * double_factorial(2 * tau + nu - 2),
-            double_factorial(2 * sigma + nu - 3) * factorial(sigma + tau + nu - 2),
-        )
+def _coeff_A_sq(nu: int, N: int, sigma: int):
+    return rational(
+        double_factorial(2 * sigma + nu - 1),
+        double_factorial(N + sigma + nu - 1) * double_factorial(N - sigma),
+    )
+
+
+def _coeff_F_norm_sq(nu: int, sigma: int, tau: int):
+    return rational(
+        factorial(sigma - tau) * double_factorial(2 * tau + nu - 2),
+        double_factorial(2 * sigma + nu - 3) * factorial(sigma + tau + nu - 2),
     )
 
 
@@ -113,7 +120,7 @@ def coeff_F(nu: int, sigma: int, tau: int, k: int) -> SurdValue:
         )
     q = rational((-1) ** k * double_factorial(2 * sigma + nu - 3 - 2 * k), 2**k)
     q /= factorial(sigma - tau - 2 * k) * factorial(k)
-    return _coeff_F_norm(nu, sigma, tau).scale(q)
+    return SurdValue.sqrt(_coeff_F_norm_sq(nu, sigma, tau)).scale(q)
 
 
 def _validate_bracket_labels(nu: int, N: int, n: int, sigma: int, tau: int) -> int:
@@ -151,6 +158,55 @@ def barred_sign(n: int, tau: int) -> int:
     return -1 if ((n - abs(tau)) // 2) % 2 else 1
 
 
+def _block_core(
+    nu: int,
+    N: int,
+    t: int,
+    convention: Convention,
+    ns: tuple[int, ...],
+    sigmas: tuple[int, ...],
+):
+    """Rational factors of the bracket block at |tau| = t, for the given rows and columns.
+
+    Returns (row_sq, col_sq, core) with bracket(n_a, sigma_i) =
+    sqrt(row_sq[a] * col_sq[i]) * core[a][i].  row_sq[a] = (N-n)!/B(n)**2 and
+    col_sq[i] = A(sigma)**2 * Fnorm(sigma)**2 are positive; the signs of the
+    ladder normalizations A and B, and the barred sign, are folded into the
+    signed k-sum core[a][i] = +-sum_k F_k/Fnorm * C(k + (N-sigma)/2, (n-t)/2).
+    """
+    row_sq = tuple(factorial(N - n) / _coeff_B_sq(nu, n, t) for n in ns)
+    col_sq = tuple(_coeff_A_sq(nu, N, s) * _coeff_F_norm_sq(nu, s, t) for s in sigmas)
+    barred = convention is Convention.BARRED
+    columns = []
+    for sigma in sigmas:
+        h = (N - sigma) // 2
+        top = sigma - t
+        k_hi = top // 2
+        # F_k/Fnorm times the common denominator 2**k_hi * (sigma-t)!: an integer,
+        # since (sigma-t)!/((sigma-t-2k)! k!) = C(sigma-t, 2k) (2k)!/k!.
+        weights = [
+            (-1) ** k
+            * double_factorial(2 * sigma + nu - 3 - 2 * k)
+            * 2 ** (k_hi - k)
+            * (factorial(top) // (factorial(top - 2 * k) * factorial(k)))
+            for k in range(k_hi + 1)
+        ]
+        den = 2**k_hi * factorial(top)
+        column = []
+        for n in ns:
+            m = (n - t) // 2
+            # C(k + h, m) vanishes below k = m - h
+            ksum = sum(
+                weights[k] * math.comb(k + h, m) for k in range(max(0, m - h), k_hi + 1)
+            )
+            # A and B carry the signs (-1)**h and (-1)**m; the barred sign (-1)**m cancels B's
+            if (h if barred else h + m) % 2:
+                ksum = -ksum
+            column.append(rational(ksum, den))
+        columns.append(column)
+    return row_sq, col_sq, tuple(zip(*columns))
+
+
 def bracket(
     nu: int,
     N: int,
@@ -166,27 +222,13 @@ def bracket(
     """
     convention = as_convention(convention)
     t = _validate_bracket_labels(nu, N, n, sigma, tau)
-    k_lo = max(0, (n - t - N + sigma) // 2)
-    k_hi = (sigma - t) // 2
-    if k_lo > k_hi:
-        return SurdValue.zero()
-    ksum = rational(0)
-    for k in range(k_lo, k_hi + 1):
-        ksum += (
-            rational((-1) ** k * double_factorial(2 * sigma + nu - 3 - 2 * k), 2**k)
-            * binomial(k + (N - sigma) // 2, (n - t) // 2)
-            / (factorial(sigma - t - 2 * k) * factorial(k))
-        )
-    prefactor = (
-        SurdValue.sqrt(rational(factorial(N - n)))
-        * coeff_A(nu, N, sigma)
-        * coeff_B(nu, n, t).inverse()
-        * _coeff_F_norm(nu, sigma, t)
-    )
-    value = prefactor.scale(ksum)
-    if convention is Convention.BARRED and barred_sign(n, t) < 0:
-        value = -value
-    return value
+    (u_sq,), (v_sq,), ((q,),) = _block_core(nu, N, t, convention, (n,), (sigma,))
+    return _entry(u_sq, v_sq, q)
+
+
+def _entry(u_sq, v_sq, q) -> SurdValue:
+    """The bracket u v q = sign(q) sqrt(u**2 v**2 q**2) from its rational factors."""
+    return SurdValue((q > 0) - (q < 0), u_sq * v_sq * q * q)
 
 
 def bracket_expanded(nu: int, N: int, n: int, sigma: int, tau: int) -> SurdValue:
@@ -275,7 +317,13 @@ def bracket_sigma_eq_N(nu: int, N: int, n: int, tau: int) -> SurdValue:
 
 @dataclass(frozen=True)
 class BracketTable:
-    """Full bracket matrix for fixed (nu, N, tau): rows n ascending, columns sigma ascending."""
+    """Full bracket matrix for fixed (nu, N, tau): rows n ascending, columns sigma ascending.
+
+    Stored factored: the entry in row a, column i is
+    sqrt(row_sq[a] * col_sq[i]) * core[a][i], with row_sq and col_sq positive
+    rationals and core the signed rational k-sums.  entries is derived from
+    these three, so the certified and the rendered numbers are the same.
+    """
 
     nu: int
     N: int
@@ -283,30 +331,59 @@ class BracketTable:
     convention: Convention
     ns: tuple[int, ...]
     sigmas: tuple[int, ...]
-    entries: tuple[tuple[SurdValue, ...], ...]
+    row_sq: tuple
+    col_sq: tuple
+    core: tuple[tuple, ...]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[SurdValue, ...], ...]:
+        return tuple(
+            tuple(_entry(u_sq, v_sq, q) for v_sq, q in zip(self.col_sq, row))
+            for u_sq, row in zip(self.row_sq, self.core)
+        )
 
     def entry(self, n: int, sigma: int) -> SurdValue:
         return self.entries[self.ns.index(n)][self.sigmas.index(sigma)]
 
     def is_orthogonal(self) -> bool:
-        """Exact orthogonality of rows and columns under surd arithmetic."""
-        d = len(self.ns)
-        one = SurdValue.one()
-        zero = SurdValue.zero()
-        try:
-            for i in range(d):
-                for j in range(i, d):
-                    col = zero
-                    row = zero
-                    for a in range(d):
-                        col = col + self.entries[a][i] * self.entries[a][j]
-                        row = row + self.entries[i][a] * self.entries[j][a]
-                    want = one if i == j else zero
-                    if col != want or row != want:
-                        return False
-        except SurdSumError:
-            return False
-        return True
+        """Exact orthogonality of rows and columns as rational matrix identities.
+
+        With E = diag(u) Q diag(v), E^T E = 1 reads Q^T diag(u^2) Q = diag(v^-2)
+        and E E^T = 1 reads Q diag(v^2) Q^T = diag(u^-2).
+        """
+        columns = tuple(zip(*self.core))
+        return _gram_is_inverse_diagonal(
+            columns, self.row_sq, self.col_sq
+        ) and _gram_is_inverse_diagonal(self.core, self.col_sq, self.row_sq)
+
+
+def _cleared(values) -> tuple[list[int], int]:
+    """Integers x_k and a denominator D with values[k] = x_k / D."""
+    den = math.lcm(*(int(v.denominator) for v in values))
+    return [int(v.numerator) * (den // int(v.denominator)) for v in values], den
+
+
+def _gram_is_inverse_diagonal(vectors, weights, squares) -> bool:
+    """Whether sum_k weights[k] x_i[k] x_j[k] = delta_ij / squares[i] for all i, j.
+
+    Denominators are cleared first, per vector and once for the weights, so
+    the d**3 products run on integers.
+    """
+    w_int, w_den = _cleared(weights)
+    cleared = [_cleared(vec) for vec in vectors]
+    for i, (x_i, den_i) in enumerate(cleared):
+        weighted = [w * x for w, x in zip(w_int, x_i)]
+        for j in range(i, len(cleared)):
+            dot = sum(map(operator.mul, weighted, cleared[j][0]))
+            if i != j:
+                if dot:
+                    return False
+                continue
+            # dot = w_den * den_i**2 / squares[i]
+            square = squares[i]
+            if dot * int(square.numerator) != w_den * den_i * den_i * int(square.denominator):
+                return False
+    return True
 
 
 def table(
@@ -318,11 +395,8 @@ def table(
     """All brackets for fixed (nu, N, tau) as an exactly orthogonal matrix."""
     convention = as_convention(convention)
     ns, sigmas = bracket_index_set(nu, N, tau)
-    entries = tuple(
-        tuple(bracket(nu, N, n, sigma, tau, convention) for sigma in sigmas)
-        for n in ns
-    )
-    return BracketTable(nu, N, tau, convention, ns, sigmas, entries)
+    row_sq, col_sq, core = _block_core(nu, N, abs(tau), convention, ns, sigmas)
+    return BracketTable(nu, N, tau, convention, ns, sigmas, row_sq, col_sq, core)
 
 
 def gegenbauer_coeffs(lam, m: int) -> tuple:

@@ -5,6 +5,9 @@ output is byte-reproducible: fixed sort orders, fixed key order, floats
 rendered at 10 significant digits from the correctly rounded double.
 
 Exit codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error.
+A KernelError (the oracle's kernel solve did not give a one-dimensional
+kernel) or a SurdSumError (an exact sum left the sign * sqrt(rational)
+domain) is a verification failure: exit 2 with an `error:` line.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from .brackets import (
     barred_sign,
     table,
 )
-from .exactnum import DomainError, SurdValue
+from .exactnum import DomainError, SurdSumError, SurdValue
+from .fockoracle import KernelError
 from .labels import LabelError, UnsupportedDimensionError
 from .transform import OperatorSpec, deformed_matrix
 from .verify import CLI_SUITES, run_cli_suite
@@ -274,6 +278,9 @@ def main(argv=None) -> int:
     except (LabelError, UnsupportedDimensionError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except (KernelError, SurdSumError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -29,9 +29,6 @@ __all__ = [
     "factorial",
     "binomial",
     "pochhammer",
-    "surd_mul",
-    "surd_scale",
-    "surd_add",
 ]
 
 factorial = math.factorial
@@ -320,17 +317,3 @@ class SurdValue:
     def __repr__(self) -> str:
         return f"SurdValue({self.render()})"
 
-
-def surd_mul(a: SurdValue, b: SurdValue) -> SurdValue:
-    """Exact product of two surds."""
-    return a * b
-
-
-def surd_scale(q, a: SurdValue) -> SurdValue:
-    """Exact product of a rational q with a surd."""
-    return a.scale(q)
-
-
-def surd_add(a: SurdValue, b: SurdValue) -> SurdValue:
-    """Exact sum; defined only for rationally square-compatible radicands."""
-    return a + b

@@ -161,7 +161,11 @@ def bracket_index_set(nu: int, N: int, tau: int) -> tuple[tuple[int, ...], tuple
     ns = tuple(range(t, N + 1, 2))
     sigma_lo = t if (N - t) % 2 == 0 else t + 1
     sigmas = tuple(range(sigma_lo, N + 1, 2))
-    assert len(ns) == len(sigmas)
+    if len(ns) != len(sigmas):
+        raise LabelError(
+            f"bracket block at nu={nu} N={N} tau={tau} is not square: "
+            f"{len(ns)} rows, {len(sigmas)} columns"
+        )
     return ns, sigmas
 
 

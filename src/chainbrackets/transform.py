@@ -2,8 +2,11 @@
 
 Matrix elements in the deformed chain are obtained by congruence with the
 bracket table; every entry is certified against a direct oracle computation
-with the constructed deformed states.  Only number-conserving scalar
-operators are supported, so the transform is tau-diagonal.
+with the constructed deformed states.  The congruence runs on the table's
+rational factors: with table entries u_a Q[a][i] v_i, the deformed matrix is
+v_i v_j (Q^T W Q)[i][j] with W = diag(u) M diag(u) rational.  Only
+number-conserving scalar operators are supported, so the transform is
+tau-diagonal.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from enum import Enum
 
 from ._backend import rational
 from .brackets import Convention, as_convention, table
-from .exactnum import GaussianRational, SurdSumError, SurdValue
+from .exactnum import GaussianRational, SurdSumError, SurdValue, rational_sqrt
 from .fockoracle import (
     BosonOperator,
     apply,
@@ -31,6 +34,7 @@ __all__ = [
     "DeformedMatrix",
     "spherical_matrix",
     "boson_operator",
+    "operator_core",
     "deformed_matrix",
     "deformed_matrix_oracle",
 ]
@@ -66,9 +70,8 @@ class SphericalMatrix:
 class DeformedMatrix:
     """Matrix in the deformed chain, rows/columns indexed by sigma ascending.
 
-    oracle_backed lists (row, col) indices whose exact surd accumulation
-    failed and whose value therefore comes from the oracle's sign/square
-    protocol instead; empty for the built-in operators at desk scale.
+    oracle_backed is always empty: every entry is exact.  It is kept because
+    the transform JSON of format_version 1 carries it.
     """
 
     nu: int
@@ -159,6 +162,33 @@ def deformed_matrix_oracle(
     return DeformedMatrix(nu, N, tau, op, convention, sigmas, entries)
 
 
+def operator_core(sph: SphericalMatrix, row_sq) -> tuple[tuple, ...]:
+    """W = diag(u) M diag(u) as rationals, with row_sq[a] = u_a**2 of the bracket table.
+
+    For pairing, u_{n-2} u_n sqrt(r) = u_n**2 (N-n+2)(N-n+1)/2.  An entry that
+    is not rational would need sums of unlike surds, so it raises SurdSumError.
+    """
+    d = len(row_sq)
+    zero = rational(0)
+    rows = []
+    for a in range(d):
+        row = []
+        for b in range(d):
+            m = sph.entries[a][b]
+            if m.is_zero:
+                row.append(zero)
+                continue
+            root = rational_sqrt(row_sq[a] * row_sq[b] * m.radicand)
+            if root is None:
+                raise SurdSumError(
+                    f"operator {sph.op.value} at nu={sph.nu} N={sph.N} tau={sph.tau}: "
+                    f"u_a u_b M[a][b] is not rational at (a, b) = ({a}, {b})"
+                )
+            row.append(root if m.sign > 0 else -root)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def deformed_matrix(
     nu: int,
     N: int,
@@ -168,36 +198,22 @@ def deformed_matrix(
 ) -> DeformedMatrix:
     """Two-step transform: congruence of the spherical matrix by the bracket table.
 
-    Entries are accumulated in exact surd arithmetic.  Should a sum ever mix
-    incompatible radicands, that entry falls back to the oracle value and is
-    reported in oracle_backed.
+    Entry (i, j) is v_i v_j (Q^T W Q)[i][j], summed over the nonzero entries
+    of W in exact rational arithmetic.
     """
     op = as_operator(op)
     convention = as_convention(convention)
     sph = spherical_matrix(nu, N, tau, op)
     tab = table(nu, N, tau, convention)
-    d = len(tab.sigmas)
-    oracle = None
-    backed = set()
+    w = operator_core(sph, tab.row_sq)
+    q = tab.core
+    terms = [(a, b, x) for a, row in enumerate(w) for b, x in enumerate(row) if x]
+    zero = rational(0)
     entries = []
-    for i in range(d):
+    for i, vi_sq in enumerate(tab.col_sq):
         row = []
-        for j in range(d):
-            try:
-                acc = SurdValue.zero()
-                for a in range(d):
-                    for b in range(d):
-                        s = sph.entries[a][b]
-                        if s.is_zero:
-                            continue
-                        acc = acc + tab.entries[a][i] * s * tab.entries[b][j]
-                row.append(acc)
-            except SurdSumError:
-                if oracle is None:
-                    oracle = deformed_matrix_oracle(nu, N, tau, op, convention)
-                row.append(oracle.entries[i][j])
-                backed.add((i, j))
+        for j, vj_sq in enumerate(tab.col_sq):
+            t = sum((q[a][i] * x * q[b][j] for a, b, x in terms), zero)
+            row.append(SurdValue((t > 0) - (t < 0), vi_sq * vj_sq * t * t))
         entries.append(tuple(row))
-    return DeformedMatrix(
-        nu, N, tau, op, convention, tab.sigmas, tuple(entries), frozenset(backed)
-    )
+    return DeformedMatrix(nu, N, tau, op, convention, tab.sigmas, tuple(entries))

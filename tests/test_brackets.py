@@ -6,6 +6,8 @@ Fock-space construction in chainbrackets.fockoracle before being frozen here.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from chainbrackets.brackets import (
@@ -21,7 +23,7 @@ from chainbrackets.brackets import (
     table,
     verify_F_via_gegenbauer,
 )
-from chainbrackets.exactnum import DomainError, SurdValue, rational
+from chainbrackets.exactnum import DomainError, SurdSumError, SurdValue, rational
 from chainbrackets.labels import LabelError
 
 
@@ -145,6 +147,76 @@ def test_table_orthogonality_over_range():
             for tau in range(-N if nu == 2 else 0, N + 1):
                 for conv in Convention:
                     assert table(nu, N, tau, conv).is_orthogonal()
+
+
+def test_table_entries_equal_single_brackets():
+    for nu in range(2, 6):
+        for N in range(11):
+            for tau in range(-N if nu == 2 else 0, N + 1):
+                for conv in Convention:
+                    tab = table(nu, N, tau, conv)
+                    for i, n in enumerate(tab.ns):
+                        for j, sigma in enumerate(tab.sigmas):
+                            assert tab.entries[i][j] == bracket(nu, N, n, sigma, tau, conv)
+
+
+def _surd_sum_orthogonal(entries) -> bool:
+    """Reference check: every row and column dot product summed in surd arithmetic."""
+    d = len(entries)
+    try:
+        for i in range(d):
+            for j in range(i, d):
+                col = row = SurdValue.zero()
+                for a in range(d):
+                    col = col + entries[a][i] * entries[a][j]
+                    row = row + entries[i][a] * entries[j][a]
+                want = SurdValue.one() if i == j else SurdValue.zero()
+                if col != want or row != want:
+                    return False
+    except SurdSumError:
+        return False
+    return True
+
+
+def _perturbed(tab):
+    """(still orthogonal?, table) pairs whose factors were altered via dataclasses.replace."""
+    core = [list(row) for row in tab.core]
+    flipped = tuple(tuple(-q for q in row) if a == 0 else tuple(row) for a, row in enumerate(core))
+    yield True, dataclasses.replace(tab, core=flipped)  # a row's sign is free
+    doubled = tuple(tuple(2 * q for q in row) for row in core)
+    yield False, dataclasses.replace(tab, core=doubled)  # dot products stay 0, norms do not
+    core[-1][0] = -core[-1][0]
+    yield False, dataclasses.replace(tab, core=tuple(map(tuple, core)))
+    core[-1][0] = -core[-1][0] + 1
+    yield False, dataclasses.replace(tab, core=tuple(map(tuple, core)))
+    yield False, dataclasses.replace(tab, row_sq=(tab.row_sq[0] * 4,) + tab.row_sq[1:])
+    yield False, dataclasses.replace(tab, col_sq=tab.col_sq[:-1] + (tab.col_sq[-1] * 2,))
+
+
+def test_perturbed_factors_are_not_orthogonal():
+    for nu, N, tau in ((2, 2, 0), (2, 5, -1), (3, 6, 2), (4, 9, 1)):
+        for conv in Convention:
+            for expected, bad in _perturbed(table(nu, N, tau, conv)):
+                assert bad.is_orthogonal() is expected
+
+
+@pytest.mark.parametrize(
+    "nu, N, tau, conv",
+    [
+        (2, 6, 0, Convention.STANDARD),
+        (2, 9, -3, Convention.BARRED),
+        (3, 8, 1, Convention.STANDARD),
+        (5, 10, 2, Convention.BARRED),
+        (7, 12, 0, Convention.STANDARD),
+    ],
+)
+def test_rational_check_agrees_with_surd_sums(nu, N, tau, conv):
+    tab = table(nu, N, tau, conv)
+    assert len(tab.ns) >= 4
+    assert tab.is_orthogonal() and _surd_sum_orthogonal(tab.entries)
+    for expected, bad in _perturbed(tab):
+        assert bad.is_orthogonal() is expected
+        assert _surd_sum_orthogonal(bad.entries) is expected
 
 
 def test_barred_tables_flip_row_signs():

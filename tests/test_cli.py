@@ -7,6 +7,8 @@ import json
 import pytest
 
 from chainbrackets.cli import main
+from chainbrackets.exactnum import SurdSumError
+from chainbrackets.fockoracle import KernelError
 
 EXPECTED_TABLE_JSON = """{
   "format_version": 1,
@@ -165,6 +167,35 @@ def test_verify_failure_exits_2(monkeypatch, capsys):
     assert code == 2
     assert "orth: FAIL" in out and "first failure" in out
     assert "FAIL" in err
+
+
+def _raise(exc):
+    def fake(*args, **kwargs):
+        raise exc
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("deformed_matrix", ["transform", "--nu", "2", "--N", "2", "--tau", "0", "--op", "pair"]),
+        ("run_cli_suite", ["verify", "--suites", "oracle"]),
+    ],
+)
+@pytest.mark.parametrize(
+    "exc",
+    [KernelError("kernel of dimension 2"), SurdSumError("radicand ratio is not a square")],
+    ids=["KernelError", "SurdSumError"],
+)
+def test_exact_arithmetic_failures_exit_2(monkeypatch, capsys, target, argv, exc):
+    from chainbrackets import cli
+
+    monkeypatch.setattr(cli, target, _raise(exc))
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and str(exc) in err
+    assert "Traceback" not in err
 
 
 def test_non_integer_flag_exits_1(capsys):

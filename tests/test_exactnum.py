@@ -21,9 +21,6 @@ from chainbrackets.exactnum import (
     rational_sqrt,
     set_backend,
     sqrt_to_float,
-    surd_add,
-    surd_mul,
-    surd_scale,
 )
 
 
@@ -75,17 +72,17 @@ def test_binomial_values(top, bottom, expected):
 
 
 def test_surd_mul_examples():
-    assert surd_mul(SurdValue.sqrt(rational(1, 2)), SurdValue.sqrt(2)) == SurdValue.one()
-    minus_three = surd_mul(-SurdValue.sqrt(3), SurdValue.sqrt(3))
+    assert SurdValue.sqrt(rational(1, 2)) * SurdValue.sqrt(2) == SurdValue.one()
+    minus_three = -SurdValue.sqrt(3) * SurdValue.sqrt(3)
     assert minus_three == SurdValue(-1, 9)
     assert minus_three.rational_value() == -3
-    assert surd_mul(SurdValue.zero(), SurdValue.sqrt(5)) == SurdValue.zero()
+    assert SurdValue.zero() * SurdValue.sqrt(5) == SurdValue.zero()
 
 
 def test_surd_scale_examples():
-    assert surd_scale(rational(-1, 2), SurdValue.sqrt(3)) == SurdValue(-1, rational(3, 4))
-    assert surd_scale(0, SurdValue.sqrt(5)) == SurdValue.zero()
-    assert surd_scale(2, SurdValue(-1, rational(1, 4))) == SurdValue(-1, 1)
+    assert SurdValue.sqrt(3).scale(rational(-1, 2)) == SurdValue(-1, rational(3, 4))
+    assert SurdValue.sqrt(5).scale(0) == SurdValue.zero()
+    assert SurdValue(-1, rational(1, 4)).scale(2) == SurdValue(-1, 1)
 
 
 def test_surd_mul_commutative_associative():
@@ -106,11 +103,11 @@ def test_surd_mul_commutative_associative():
 def test_surd_add_compatible_and_incompatible():
     a = SurdValue.sqrt(rational(1, 3))
     b = SurdValue.sqrt(rational(4, 3))
-    assert surd_add(a, b) == SurdValue.sqrt(3)
-    assert surd_add(a, -a) == SurdValue.zero()
-    assert surd_add(SurdValue.zero(), a) == a
+    assert a + b == SurdValue.sqrt(3)
+    assert a + (-a) == SurdValue.zero()
+    assert SurdValue.zero() + a == a
     with pytest.raises(SurdSumError):
-        surd_add(a, SurdValue.sqrt(rational(1, 2)))
+        a + SurdValue.sqrt(rational(1, 2))
 
 
 def test_surd_of_rational_and_inverse():
@@ -184,7 +181,7 @@ def test_backends_agree():
         results = {}
         for name in available_backends():
             set_backend(name)
-            v = surd_scale(rational(-3, 7), SurdValue.sqrt(rational(5, 11)))
+            v = SurdValue.sqrt(rational(5, 11)).scale(rational(-3, 7))
             results[name] = (v.sign, str(v.radicand), v.to_float(), v.render())
         vals = list(results.values())
         assert vals[0] == vals[1]

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from chainbrackets.brackets import Convention
-from chainbrackets.exactnum import SurdValue, rational
+from chainbrackets.brackets import Convention, table
+from chainbrackets.exactnum import SurdSumError, SurdValue, rational
 from chainbrackets.fockoracle import apply, build_chain1_state, inner
 from chainbrackets.transform import (
     OperatorSpec,
     boson_operator,
     deformed_matrix,
     deformed_matrix_oracle,
+    operator_core,
     spherical_matrix,
 )
 
@@ -58,6 +61,33 @@ def test_spherical_pairing_agrees_with_oracle_inner_products():
                         else:
                             assert entry.sign == (1 if r > 0 else -1)
                             assert entry.radicand == r * r / (si.norm_sq * sj.norm_sq)
+
+
+def test_operator_core_is_rational():
+    for nu in range(2, 8):
+        for N in range(11):
+            for tau in range(-N if nu == 2 else 0, N + 1):
+                u_sq = table(nu, N, tau).row_sq
+                for op in OperatorSpec:
+                    sph = spherical_matrix(nu, N, tau, op)
+                    w = operator_core(sph, u_sq)
+                    d = len(w)
+                    for a in range(d):
+                        for b in range(d):
+                            # W[a][b] = u_a u_b M[a][b] with W rational
+                            x = w[a][b]
+                            assert SurdValue.of_rational(x) == sph.entries[a][b] * SurdValue.sqrt(
+                                u_sq[a] * u_sq[b]
+                            )
+
+
+def test_operator_core_rejects_an_irrational_entry():
+    sph = spherical_matrix(3, 6, 0, OperatorSpec.PAIRING)
+    entries = [list(row) for row in sph.entries]
+    entries[0][1] = entries[0][1] * SurdValue.sqrt(2)
+    bad = dataclasses.replace(sph, entries=tuple(map(tuple, entries)))
+    with pytest.raises(SurdSumError):
+        operator_core(bad, table(3, 6, 0).row_sq)
 
 
 def test_deformed_bnum_example():
