@@ -26,7 +26,8 @@ def _table_workload(nu_max: int, n_max: int) -> int:
         for N in range(n_max + 1):
             for tau in range(N + 1):
                 tab = table(nu, N, tau)
-                assert tab.is_orthogonal()
+                if not tab.is_orthogonal():
+                    raise RuntimeError(f"table nu={nu} N={N} tau={tau} is not orthogonal")
                 count += len(tab.ns) ** 2
     return count
 

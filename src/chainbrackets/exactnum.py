@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import struct
-from fractions import Fraction
 
 from ._backend import available_backends, current_backend, rational, set_backend
 
@@ -98,14 +97,23 @@ def _mantissa_even(x: float) -> bool:
 
 
 def _nearer_to_sqrt(a: float, b: float, q) -> float:
-    """The one of two doubles a <= b nearer to sqrt(q); exact tie goes to even."""
+    """The one of two doubles a <= b nearer to sqrt(q); exact tie goes to even.
+
+    The midpoint of a and b is M / 2**k for integers M and k >= 1, so with
+    q = num / den the comparison of q against the squared midpoint is the
+    integer comparison of num * 4**k against den * M**2.
+    """
     if a == b:
         return a
-    mid = (Fraction(a) + Fraction(b)) / 2
-    mid_sq = mid * mid
-    if q < mid_sq:
+    na, da = a.as_integer_ratio()
+    nb, db = b.as_integer_ratio()
+    d = max(da, db)  # both denominators are powers of two
+    m = na * (d // da) + nb * (d // db)
+    lhs = int(q.numerator) << (2 * d.bit_length())
+    rhs = int(q.denominator) * m * m
+    if lhs < rhs:
         return a
-    if q > mid_sq:
+    if lhs > rhs:
         return b
     return a if _mantissa_even(a) else b
 
@@ -123,7 +131,7 @@ def sqrt_to_float(q) -> float:
     shift += shift & 1
     t = math.isqrt((num << shift) // den)
     try:
-        x = float(Fraction(t, 1 << (shift // 2)))
+        x = t / (1 << (shift // 2))  # int true division rounds correctly
     except OverflowError:
         return math.inf
     lo = max(0.0, math.nextafter(x, -math.inf))

@@ -6,13 +6,19 @@ deformed states.  None of the closed forms from chainbrackets.brackets enter
 the construction, so overlaps of these states are the ground truth against
 which every closed form is certified.
 
-All arithmetic is exact (Gaussian rationals over arbitrary-precision
-integers); no floating point anywhere.
+All arithmetic is exact and runs on Python ints; no floating point anywhere.
+A state stores each monomial's coefficient as a Gaussian integer (re, im)
+under one rational scale for the whole state.  Every operator is a
+Gaussian-integer operator over one common denominator, computed when it is
+built, so `apply` and `inner` multiply integers and touch the scale once per
+call.  The intrinsic deformed states come from fraction-free (Bareiss)
+elimination over the Gaussian integers.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -42,8 +48,8 @@ __all__ = [
     "clear_caches",
 ]
 
-_GR_ZERO = GaussianRational(rational(0), rational(0))
-_GR_ONE = GaussianRational(rational(1), rational(0))
+_ONE = rational(1)
+_ZERO_PAIR = (0, 0)
 
 
 class KernelError(RuntimeError):
@@ -55,36 +61,138 @@ class CasimirGroup(Enum):
     SO_NU_PLUS_ONE = "so_nu_plus_one"
 
 
+def _int_over(q, den: int) -> int:
+    """The integer q * den, for a rational q whose denominator divides den."""
+    return int(q.numerator) * (den // int(q.denominator))
+
+
+def _common_den(values) -> int:
+    """Least common denominator of the real and imaginary parts of Gaussian rationals."""
+    den = 1
+    for c in values:
+        den = math.lcm(den, int(c.re.denominator), int(c.im.denominator))
+    return den
+
+
+def _multipliers(sa, sb) -> tuple[int, int, object]:
+    """Integers ma, mb and a rational c with sa = ma * c and sb = mb * c."""
+    if sa == sb:
+        return 1, 1, sa
+    na, da = int(sa.numerator), int(sa.denominator)
+    nb, db = int(sb.numerator), int(sb.denominator)
+    g = math.gcd(na, nb)
+    lcm = math.lcm(da, db)
+    return na // g * (lcm // da), nb // g * (lcm // db), rational(g, lcm)
+
+
+def _times_gauss(coeffs: dict, cr: int, ci: int) -> dict:
+    """Every Gaussian-integer coefficient multiplied by cr + i ci (nonzero)."""
+    return {
+        occ: (re * cr - im * ci, re * ci + im * cr) for occ, (re, im) in coeffs.items()
+    }
+
+
+class _Terms(Mapping):
+    """Read-only view of a state's coefficients, each built as a GaussianRational on lookup."""
+
+    __slots__ = ("_coeffs", "_scale")
+
+    def __init__(self, coeffs: dict, scale):
+        self._coeffs = coeffs
+        self._scale = scale
+
+    def __getitem__(self, occ) -> GaussianRational:
+        re, im = self._coeffs[occ]
+        return GaussianRational(re * self._scale, im * self._scale)
+
+    def __iter__(self):
+        return iter(self._coeffs)
+
+    def __len__(self) -> int:
+        return len(self._coeffs)
+
+
 class FockState:
-    """Finite linear combination of occupation monomials with Gaussian-rational coefficients.
+    """Finite linear combination of occupation monomials with exact complex coefficients.
 
     Keys are (nu+1)-tuples of occupation numbers, mode 0 being the scalar
     boson.  Monomials are unnormalized products of creation operators on the
-    vacuum, so <occ|occ> = prod occ_j!.  Instances are treated as immutable.
+    vacuum, so <occ|occ> = prod occ_j!.  The coefficient of occ is
+    (re + i im) * scale with coeffs[occ] = (re, im) a nonzero Gaussian integer
+    and scale a nonzero rational shared by the whole state; `terms` views the
+    coefficients as GaussianRationals.  Instances are treated as immutable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("coeffs", "scale")
 
     def __init__(self, terms: dict):
-        self.terms = {occ: c for occ, c in terms.items() if not c.is_zero}
+        den = _common_den(terms.values())
+        self.coeffs = {
+            occ: (_int_over(c.re, den), _int_over(c.im, den))
+            for occ, c in terms.items()
+            if not c.is_zero
+        }
+        self.scale = rational(1, den)
+
+    @classmethod
+    def _of(cls, coeffs: dict, scale) -> "FockState":
+        """A state from nonzero Gaussian-integer coefficients and their common scale."""
+        psi = object.__new__(cls)
+        psi.coeffs = coeffs
+        psi.scale = scale
+        return psi
+
+    @property
+    def terms(self) -> Mapping:
+        return _Terms(self.coeffs, self.scale)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
+
+    def canonical(self) -> "FockState":
+        """The same state with coprime integer parts and a positive scale."""
+        if not self.coeffs:
+            return self
+        g = math.gcd(*(x for pair in self.coeffs.values() for x in pair))
+        if self.scale < 0:
+            g = -g
+        if g == 1:
+            return self
+        coeffs = {occ: (re // g, im // g) for occ, (re, im) in self.coeffs.items()}
+        return FockState._of(coeffs, self.scale * g)
 
     def scaled(self, c: GaussianRational) -> "FockState":
-        return FockState({occ: amp * c for occ, amp in self.terms.items()})
+        den = _common_den((c,))
+        cr, ci = _int_over(c.re, den), _int_over(c.im, den)
+        if not (cr or ci):
+            return FockState._of({}, _ONE)
+        return FockState._of(_times_gauss(self.coeffs, cr, ci), self.scale / den)
 
     def times(self, scalar) -> "FockState":
         """Scale by an exact real scalar (int or rational)."""
-        return FockState({occ: amp.times(scalar) for occ, amp in self.terms.items()})
+        if not scalar or not self.coeffs:
+            return FockState._of({}, _ONE)
+        return FockState._of(self.coeffs, self.scale * scalar)
 
     def plus(self, other: "FockState") -> "FockState":
-        out = dict(self.terms)
-        for occ, amp in other.terms.items():
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        ma, mb, scale = _multipliers(self.scale, other.scale)
+        out = dict(self.coeffs) if ma == 1 else _times_gauss(self.coeffs, ma, 0)
+        for occ, (re, im) in other.coeffs.items():
+            if mb != 1:
+                re, im = re * mb, im * mb
             prev = out.get(occ)
-            out[occ] = amp if prev is None else prev + amp
-        return FockState(out)
+            if prev is None:
+                out[occ] = (re, im)
+            elif prev[0] + re or prev[1] + im:
+                out[occ] = (prev[0] + re, prev[1] + im)
+            else:
+                del out[occ]
+        return FockState._of(out, scale)
 
     def minus(self, other: "FockState") -> "FockState":
         return self.plus(other.times(-1))
@@ -92,13 +200,24 @@ class FockState:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FockState):
             return NotImplemented
-        return self.terms == other.terms
+        a, b = self.coeffs, other.coeffs
+        if len(a) != len(b):
+            return False
+        if not a:
+            return True
+        ma, mb, _ = _multipliers(self.scale, other.scale)
+        for occ, (re, im) in a.items():
+            o = b.get(occ)
+            if o is None or re * ma != o[0] * mb or im * ma != o[1] * mb:
+                return False
+        return True
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        c = self.canonical()
+        return hash((frozenset(c.coeffs.items()), c.scale if c.coeffs else None))
 
     def __repr__(self) -> str:
-        return f"FockState({len(self.terms)} monomials)"
+        return f"FockState({len(self.coeffs)} monomials)"
 
 
 class BosonOperator:
@@ -107,13 +226,30 @@ class BosonOperator:
     Each term is (coeff, cre, ann) with cre/ann sparse tuples of
     (mode, power) pairs; the term acts as coeff * prod b_dag^cre * prod b^ann.
     Products of operators are evaluated by composing `apply`, never
-    symbolically.
+    symbolically.  On construction the coefficients are brought over one
+    common denominator `den`: `int_terms` holds, per nonzero term, the
+    Gaussian integer coeff * den, the annihilated (mode, power) pairs and the
+    net (mode, shift) of occupation numbers.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den", "int_terms")
 
     def __init__(self, terms):
         self.terms = tuple(terms)
+        den = self.den = _common_den(coeff for coeff, _, _ in self.terms)
+        int_terms = []
+        for coeff, cre, ann in self.terms:
+            cr, ci = _int_over(coeff.re, den), _int_over(coeff.im, den)
+            if not (cr or ci):
+                continue
+            shift = dict.fromkeys([mode for mode, _ in cre + ann], 0)
+            for mode, power in ann:
+                shift[mode] -= power
+            for mode, power in cre:
+                shift[mode] += power
+            moves = tuple((mode, d) for mode, d in sorted(shift.items()) if d)
+            int_terms.append((cr, ci, tuple(ann), moves))
+        self.int_terms = tuple(int_terms)
 
     @classmethod
     def single(cls, coeff: GaussianRational, cre=(), ann=()) -> "BosonOperator":
@@ -130,56 +266,57 @@ class BosonOperator:
 
 
 def apply(op: BosonOperator, psi: FockState) -> FockState:
-    """Exact linear action of op on psi."""
+    """Exact linear action of op on psi, on the Gaussian-integer coefficients."""
     out: dict = {}
-    for coeff, cre, ann in op.terms:
-        for occ, amp in psi.terms.items():
+    get = out.get
+    perm = math.perm
+    items = psi.coeffs.items()
+    for cr, ci, ann, moves in op.int_terms:
+        for occ, (ar, ai) in items:
             factor = 1
-            if ann:
-                ok = True
-                for mode, power in ann:
-                    x = occ[mode]
-                    if x < power:
-                        ok = False
-                        break
-                    for _ in range(power):
-                        factor *= x
-                        x -= 1
-                if not ok:
-                    continue
-            if cre or ann:
+            for mode, power in ann:
+                factor *= perm(occ[mode], power)
+            if not factor:
+                continue
+            if moves:
                 new = list(occ)
-                for mode, power in ann:
-                    new[mode] -= power
-                for mode, power in cre:
-                    new[mode] += power
-                key = tuple(new)
+                for mode, d in moves:
+                    new[mode] += d
+                occ = tuple(new)
+            if ci:
+                vr = (ar * cr - ai * ci) * factor
+                vi = (ar * ci + ai * cr) * factor
             else:
-                key = occ
-            value = amp * coeff
-            if factor != 1:
-                value = value.times(factor)
-            prev = out.get(key)
-            out[key] = value if prev is None else prev + value
-    return FockState(out)
+                factor *= cr
+                vr = ar * factor
+                vi = ai * factor
+            prev = get(occ)
+            out[occ] = (vr, vi) if prev is None else (prev[0] + vr, prev[1] + vi)
+    coeffs = {occ: c for occ, c in out.items() if c[0] or c[1]}
+    return FockState._of(coeffs, psi.scale if op.den == 1 else psi.scale / op.den)
 
 
 def inner(psi: FockState, phi: FockState) -> GaussianRational:
     """Boson Fock inner product <psi|phi> with the monomial weights prod occ_j!."""
-    a, b = psi.terms, phi.terms
-    keys = a.keys() if len(a) <= len(b) else b.keys()
-    total = _GR_ZERO
-    for occ in keys:
-        ca = a.get(occ)
-        cb = b.get(occ)
-        if ca is None or cb is None:
+    a, b = psi.coeffs, phi.coeffs
+    conj = 1
+    if len(a) > len(b):
+        a, b, conj = b, a, -1
+    factorial = math.factorial
+    re = im = 0
+    for occ, (ar, ai) in a.items():
+        other = b.get(occ)
+        if other is None:
             continue
+        br, bi = other
         weight = 1
         for x in occ:
             if x > 1:
-                weight *= math.factorial(x)
-        total = total + (ca.conjugate() * cb).times(weight)
-    return total
+                weight *= factorial(x)
+        re += (ar * br + ai * bi) * weight
+        im += (ar * bi - ai * br) * weight
+    scale = psi.scale * phi.scale
+    return GaussianRational(re * scale, conj * im * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -303,24 +440,24 @@ def seed_state(nu: int, tau: int) -> FockState:
     check_dimension(nu)
     if tau < 0:
         raise LabelError(f"tau={tau} must be nonnegative")
-    terms = {}
+    coeffs = {}
     for j in range(tau + 1):
         occ = [0] * (nu + 1)
         occ[1] = tau - j
         occ[2] = j
         c = math.comb(tau, j)
-        re, im = ((c, 0), (0, c), (-c, 0), (0, -c))[j % 4]
-        terms[tuple(occ)] = GaussianRational(rational(re), rational(im))
-    return FockState(terms)
+        coeffs[tuple(occ)] = ((c, 0), (0, c), (-c, 0), (0, -c))[j % 4]
+    return FockState._of(coeffs, _ONE)
 
 
 @dataclass(frozen=True)
 class NormalizedState:
     """state / sqrt(norm_sq): an exactly unit-norm state in factored form.
 
-    The raw FockState keeps Gaussian-rational coefficients (with the ladder
-    phase already folded in); its exact squared norm is carried alongside so
-    the pair has squared norm 1 without ever forming an irrational number.
+    The raw FockState keeps exact Gaussian-integer coefficients under a
+    rational scale (with the ladder phase already folded in); its exact
+    squared norm is carried alongside so the pair has squared norm 1 without
+    ever forming an irrational number.
     """
 
     state: FockState
@@ -362,48 +499,96 @@ def build_chain1_state(nu: int, N: int, n: int, tau: int) -> NormalizedState:
     return NormalizedState(psi, _real_norm_sq(psi))
 
 
-def _nullspace_vector(images: list[FockState]) -> list[GaussianRational]:
-    """The unique (up to scale) kernel vector of the column maps; exact elimination."""
-    ncols = len(images)
-    keys = sorted(set().union(*(im.terms.keys() for im in images)))
-    rows = [[im.terms.get(k, _GR_ZERO) for im in images] for k in keys]
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
+def _gauss_div(re: int, im: int, d: tuple[int, int]) -> tuple[int, int]:
+    """The Gaussian integer (re + i im) / d; raises KernelError if the division is inexact."""
+    dr, di = d
+    if di:
+        n = dr * dr + di * di
+        re, im = re * dr + im * di, im * dr - re * di
+    else:
+        n = dr
+    qr, rr = divmod(re, n)
+    qi, ri = divmod(im, n)
+    if rr or ri:
+        raise KernelError("fraction-free elimination hit an inexact division")
+    return qr, qi
+
+
+def _kernel_ints(columns: list[dict]) -> tuple[list[tuple[int, int]], int]:
+    """Kernel vector of a Gaussian-integer matrix given column by column, and its free column.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
+    with pivot p in column c and previous pivot p_prev, every other row r
+    becomes (p * r - r[c] * pivot_row) / p_prev.  Every entry stays a minor
+    of the matrix, so the division is exact in Z[i], and at the end every
+    pivot equals the last pivot d.  The free column's entry is d and pivot
+    column c_r's entry is -(row r)[free], all integers.
+    """
+    ncols = len(columns)
+    keys = sorted(set().union(*columns))
+    rows = [[col.get(k, _ZERO_PAIR) for col in columns] for k in keys]
+    prev = (1, 0)
+    pivot_cols: list[int] = []
     for col in range(ncols):
-        pivot = next(
-            (i for i in range(rank, len(rows)) if not rows[i][col].is_zero), None
-        )
+        rank = len(pivot_cols)
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != _ZERO_PAIR), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][col].is_zero:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivot_of_col[col] = rank
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivot_of_col]
+        pivot_row = rows[rank]
+        pr, pi = pivot_row[col]
+        kept = []
+        for i, row in enumerate(rows):
+            if i != rank:
+                fr, fi = row[col]
+                row = [
+                    _gauss_div(
+                        pr * xr - pi * xi - fr * yr + fi * yi,
+                        pr * xi + pi * xr - fr * yi - fi * yr,
+                        prev,
+                    )
+                    for (xr, xi), (yr, yi) in zip(row, pivot_row)
+                ]
+                if i > rank and all(x == _ZERO_PAIR for x in row):
+                    continue
+            kept.append(row)
+        rows = kept
+        prev = (pr, pi)
+        pivot_cols.append(col)
+    free = [c for c in range(ncols) if c not in pivot_cols]
     if len(free) != 1:
         raise KernelError(
             f"pair-annihilation kernel has dimension {len(free)}, expected 1"
         )
     f0 = free[0]
-    vec = [_GR_ZERO] * ncols
-    vec[f0] = _GR_ONE
-    for col, r in pivot_of_col.items():
-        vec[col] = -rows[r][f0]
-    return vec
+    vec = [_ZERO_PAIR] * ncols
+    vec[f0] = prev
+    for r, col in enumerate(pivot_cols):
+        xr, xi = rows[r][f0]
+        vec[col] = (-xr, -xi)
+    return vec, f0
+
+
+def _nullspace_vector(images: list[FockState]) -> list[GaussianRational]:
+    """The unique (up to scale) kernel vector of the column maps, with free entry 1."""
+    ints, f0 = _kernel_ints([col.coeffs for col in images])
+    # column j is coeffs_j * scale_j, so the kernel entries are ints_j / scale_j
+    vec = [
+        GaussianRational(rational(re) / col.scale, rational(im) / col.scale)
+        for (re, im), col in zip(ints, images)
+    ]
+    inv = vec[f0].inverse()
+    return [v * inv for v in vec]
 
 
 @lru_cache(maxsize=None)
 def _chain2_intrinsic(nu: int, sigma: int, t: int, barred: bool) -> FockState:
     """Unique sigma-boson seed-built state killed by the full pair annihilator.
 
-    Solved by exact Gaussian elimination over the span of
-    (scalar^p)(pair-creator^q) seed with p + 2q = sigma - t; phase fixed so the
-    coefficient of the pure scalar-power-times-seed monomial is positive.
+    Solved by fraction-free elimination over the span of
+    (scalar^p)(pair-creator^q) seed with p + 2q = sigma - t, and normalized
+    so the span's first element (q = 0) has coefficient 1; phase fixed so
+    the coefficient of the pure scalar-power-times-seed monomial is positive.
     """
     seed = seed_state(nu, t)
     span = []
@@ -415,18 +600,27 @@ def _chain2_intrinsic(nu: int, sigma: int, t: int, barred: bool) -> FockState:
     for q, base in enumerate(span_by_q):
         p = sigma - t - 2 * q
         span.append(apply(creation_power(0, p), base) if p else base)
-    vec = _nullspace_vector([apply(pair_annihilation_full(nu, barred), v) for v in span])
-    if vec[0].is_zero:
+    down = pair_annihilation_full(nu, barred)
+    # apply maps integer parts to integer parts whatever the scale, so the
+    # kernel of the images' integer parts combines the spans' integer parts
+    vec, _ = _kernel_ints([apply(down, v).coeffs for v in span])
+    xr, xi = vec[0]
+    if not (xr or xi):
         raise KernelError("kernel vector has no pure scalar-ladder component")
-    scale = vec[0].inverse()
-    out = FockState({})
-    for c, v in zip(vec, span):
-        out = out.plus(v.scaled(c * scale))
+    out: dict = {}
+    for (cr, ci), v in zip(vec, span):
+        for occ, (re, im) in v.coeffs.items():
+            prev = out.get(occ, _ZERO_PAIR)
+            out[occ] = (prev[0] + re * cr - im * ci, prev[1] + re * ci + im * cr)
+    # dividing by x0 = xr + i xi: multiply by its conjugate, scale by 1/|x0|^2
+    coeffs = {occ: c for occ, c in _times_gauss(out, xr, -xi).items() if c[0] or c[1]}
+    state = FockState._of(coeffs, span[0].scale / (xr * xr + xi * xi)).canonical()
+    # canonical() makes the scale positive, so the phase shows in the integers
     marker = (sigma - t, t) + (0,) * (nu - 1)
-    lead = out.terms[marker]
-    if lead.im != 0 or lead.re <= 0:
+    lead_re, lead_im = state.coeffs[marker]
+    if lead_im != 0 or lead_re <= 0:
         raise KernelError("phase fixing failed: leading coefficient not positive real")
-    return out
+    return state
 
 
 @lru_cache(maxsize=None)
@@ -478,18 +672,16 @@ def oracle_bracket(
 # ---------------------------------------------------------------------------
 
 
-def _casimir_generators(
-    nu: int, group: CasimirGroup, convention: Convention = Convention.STANDARD
-) -> list[BosonOperator]:
+@lru_cache(maxsize=None)
+def _casimir_generators(nu: int, group: CasimirGroup, barred: bool) -> tuple[BosonOperator, ...]:
     gens = [
         so_generator(nu, j, k)
         for j in range(1, nu + 1)
         for k in range(j + 1, nu + 1)
     ]
     if group is CasimirGroup.SO_NU_PLUS_ONE:
-        barred = as_convention(convention) is Convention.BARRED
         gens += [d_generator(nu, j, barred) for j in range(1, nu + 1)]
-    return gens
+    return tuple(gens)
 
 
 def casimir_apply(
@@ -499,8 +691,9 @@ def casimir_apply(
     convention: Convention = Convention.STANDARD,
 ) -> FockState:
     """Quadratic Casimir (sum of squared generators) applied exactly to psi."""
-    out = FockState({})
-    for g in _casimir_generators(nu, group, convention):
+    barred = as_convention(convention) is Convention.BARRED
+    out = FockState._of({}, _ONE)
+    for g in _casimir_generators(nu, group, barred):
         out = out.plus(apply(g, apply(g, psi)))
     return out
 
@@ -555,8 +748,8 @@ def su11_commutator_check(nu: int, cutoff: int = 6) -> bool:
     """
     check_dimension(nu)
     qp, qm, q0 = quasispin_plus(nu), quasispin_minus(nu), quasispin_zero(nu)
-    rot = [so_generator(nu, j, k) for j in range(1, nu + 1) for k in range(j + 1, nu + 1)]
-    mix = [d_generator(nu, j) for j in range(1, nu + 1)]
+    rot = _casimir_generators(nu, CasimirGroup.SO_NU, False)
+    mix = _casimir_generators(nu, CasimirGroup.SO_NU_PLUS_ONE, False)[len(rot) :]
     pair_b = pair_creation_b(nu)
     pair_full = pair_creation_full(nu)
 
@@ -564,7 +757,7 @@ def su11_commutator_check(nu: int, cutoff: int = 6) -> bool:
         return apply(a, apply(b, m)).minus(apply(b, apply(a, m)))
 
     for occ in _monomials(nu, cutoff):
-        m = FockState({occ: _GR_ONE})
+        m = FockState._of({occ: (1, 0)}, _ONE)
         if comm(qp, qm, m) != apply(q0, m).times(-2):
             return False
         if comm(q0, qp, m) != apply(qp, m):
@@ -595,6 +788,7 @@ _CACHED = (
     build_chain1_state,
     build_chain2_state,
     _chain2_intrinsic,
+    _casimir_generators,
     pair_creation_b,
     pair_annihilation_b,
     pair_creation_full,

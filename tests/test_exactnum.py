@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from chainbrackets import exactnum
 from chainbrackets.exactnum import (
     DomainError,
     GaussianRational,
@@ -150,6 +152,44 @@ def test_sqrt_to_float_is_correctly_rounded():
         mid_lo = (Fraction(lo) + Fraction(x)) / 2
         mid_hi = (Fraction(x) + Fraction(hi)) / 2
         assert mid_lo**2 <= r <= mid_hi**2
+
+
+def _nearer_by_fraction_midpoint(a: float, b: float, q) -> float:
+    """Reference for exactnum._nearer_to_sqrt: compare q with the squared Fraction midpoint."""
+    if a == b:
+        return a
+    mid = (Fraction(a) + Fraction(b)) / 2
+    mid_sq = mid * mid
+    if q < mid_sq:
+        return a
+    if q > mid_sq:
+        return b
+    return a if exactnum._mantissa_even(a) else b
+
+
+def test_integer_rounding_decision_matches_fraction_midpoint_on_ties():
+    doubles = [5e-324, 2.2250738585072014e-308, 1e-150, 0.1, 1.0, 1.5, 3.0, 2.0**52, 1e150, 1e300]
+    for x in doubles:
+        for a in (math.nextafter(x, -math.inf), x):
+            b = math.nextafter(a, math.inf)
+            mid_sq = ((Fraction(a) + Fraction(b)) / 2) ** 2
+            for q in (mid_sq, mid_sq * (1 - Fraction(1, 10**40)), mid_sq * (1 + Fraction(1, 10**40))):
+                q = rational(q.numerator, q.denominator)
+                assert exactnum._nearer_to_sqrt(a, b, q) == _nearer_by_fraction_midpoint(a, b, q)
+            tie = exactnum._nearer_to_sqrt(a, b, rational(mid_sq.numerator, mid_sq.denominator))
+            assert exactnum._mantissa_even(tie)
+
+
+def test_integer_rounding_decision_matches_fraction_midpoint_on_seeded_radicands():
+    rng = random.Random(2024)
+    for _ in range(2500):
+        mantissa = rational(rng.randrange(1, 10**17), rng.randrange(1, 10**17))
+        q = mantissa * rational(10) ** rng.randint(-300, 300)
+        x = sqrt_to_float(q)
+        lo = math.nextafter(x, -math.inf)
+        hi = math.nextafter(x, math.inf)
+        for a, b in ((lo, x), (x, hi), (lo, hi)):
+            assert exactnum._nearer_to_sqrt(a, b, q) == _nearer_by_fraction_midpoint(a, b, q)
 
 
 def test_surd_render_and_json():

@@ -11,6 +11,7 @@ from chainbrackets.fockoracle import (
     CasimirGroup,
     FockState,
     KernelError,
+    _chain2_intrinsic,
     _nullspace_vector,
     apply,
     b_number_operator,
@@ -23,6 +24,7 @@ from chainbrackets.fockoracle import (
     number_operator,
     oracle_bracket,
     pair_annihilation_b,
+    pair_annihilation_full,
     pair_creation_b,
     seed_state,
     state_to_json,
@@ -68,6 +70,10 @@ def test_inner_conjugates_the_bra():
     b = monomial(1, 0, 0)
     assert inner(a, b) == gr(0, -1)
     assert inner(b, a) == gr(0, 1)
+    # the sum runs over the smaller state's monomials; the bra stays conjugated
+    big = FockState({(1, 0, 0): gr(0, rational(1, 2)), (0, 1, 0): gr(1)})
+    assert inner(big, b) == gr(0, rational(-1, 2))
+    assert inner(b, big) == gr(0, rational(1, 2))
 
 
 def test_seed_examples():
@@ -228,6 +234,116 @@ def test_nullspace_guards():
         _nullspace_vector([a, b])
     vec = _nullspace_vector([a, a.times(-1)])
     assert vec[0] * GaussianRational.of(1) == vec[1] or vec == [one, one]
+
+
+def test_terms_round_trip_mixed_denominators():
+    terms = {
+        (0, 1, 0): gr(rational(1, 2), rational(-2, 3)),
+        (1, 0, 0): gr(-3),
+        (0, 0, 1): gr(0, rational(5, 7)),
+        (2, 0, 0): gr(0),
+    }
+    psi = FockState(terms)
+    assert dict(psi.terms) == {occ: c for occ, c in terms.items() if not c.is_zero}
+    assert len(psi.terms) == 3
+    assert psi.scale == rational(1, 42)
+    assert FockState(dict(psi.terms)) == psi
+
+
+def test_plus_minus_across_scales():
+    a = FockState({(1, 0): gr(rational(1, 2)), (0, 1): gr(0, rational(1, 3))})
+    b = FockState({(1, 0): gr(rational(1, 4)), (2, 0): gr(rational(-5, 6), 1)})
+    assert a.scale != b.scale
+    assert a.plus(b) == FockState(
+        {(1, 0): gr(rational(3, 4)), (0, 1): gr(0, rational(1, 3)), (2, 0): gr(rational(-5, 6), 1)}
+    )
+    assert a.minus(b) == FockState(
+        {(1, 0): gr(rational(1, 4)), (0, 1): gr(0, rational(1, 3)), (2, 0): gr(rational(5, 6), -1)}
+    )
+    assert a.minus(a).is_zero
+    # a cancelled monomial is dropped, not kept with a zero coefficient
+    assert len(a.plus(a.times(-1)).plus(b).terms) == 2
+
+
+def test_times_zero_and_negative_scalars():
+    a = FockState({(1, 0): gr(rational(1, 2), 3)})
+    assert a.times(0).is_zero
+    assert a.times(rational(0)) == FockState({})
+    assert a.times(-2).terms[(1, 0)] == gr(-1, -6)
+    assert a.times(rational(-1, 3)).times(-3) == a
+    assert a.times(-1).plus(a).is_zero
+
+
+def test_equal_representations_hash_alike():
+    occ = (0, 1, 0)
+    half_of_two = FockState._of({occ: (2, 0)}, rational(1, 2))
+    one = FockState({occ: gr(1)})
+    minus_minus = FockState._of({occ: (-3, 0)}, rational(-1, 3))
+    assert half_of_two == one == minus_minus
+    assert hash(half_of_two) == hash(one) == hash(minus_minus)
+    assert half_of_two != one.times(2)
+    two_terms = FockState({occ: gr(rational(1, 2)), (1, 0, 0): gr(0, rational(-3, 2))})
+    assert two_terms == FockState._of({occ: (-2, 0), (1, 0, 0): (0, 6)}, rational(-1, 4))
+    assert hash(two_terms) == hash(FockState._of({occ: (-2, 0), (1, 0, 0): (0, 6)}, rational(-1, 4)))
+    assert hash(FockState({})) == hash(FockState({}).times(5))
+
+
+def _kernel_by_fraction_gauss_jordan(images):
+    """Reference: Gauss-Jordan elimination over Gaussian rationals, free entry 1."""
+    zero, one = gr(0), gr(1)
+    ncols = len(images)
+    keys = sorted(set().union(*(im.terms.keys() for im in images)))
+    rows = [[im.terms.get(k, zero) for im in images] for k in keys]
+    pivot_of_col = {}
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if not rows[i][col].is_zero), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and not rows[i][col].is_zero:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        pivot_of_col[col] = rank
+        rank += 1
+    free = [c for c in range(ncols) if c not in pivot_of_col]
+    assert len(free) == 1
+    vec = [zero] * ncols
+    vec[free[0]] = one
+    for col, r in pivot_of_col.items():
+        vec[col] = -rows[r][free[0]]
+    return vec
+
+
+def _intrinsic_reference(nu, sigma, t, barred):
+    span_by_q = [seed_state(nu, t)]
+    for _ in range((sigma - t) // 2):
+        span_by_q.append(apply(pair_creation_b(nu), span_by_q[-1]))
+    span = []
+    for q, base in enumerate(span_by_q):
+        p = sigma - t - 2 * q
+        span.append(apply(creation_power(0, p), base) if p else base)
+    down = pair_annihilation_full(nu, barred)
+    vec = _kernel_by_fraction_gauss_jordan([apply(down, v) for v in span])
+    lead = vec[0].inverse()
+    out = FockState({})
+    for c, v in zip(vec, span):
+        out = out.plus(v.scaled(c * lead))
+    return out
+
+
+def test_fraction_free_kernel_matches_fraction_gauss_jordan():
+    for nu in (2, 3, 4):
+        for sigma in range(9):
+            for t in range(sigma + 1):
+                for barred in (False, True):
+                    state = _chain2_intrinsic(nu, sigma, t, barred)
+                    expected = _intrinsic_reference(nu, sigma, t, barred)
+                    assert state == expected, (nu, sigma, t, barred)
+                    assert dict(state.terms) == dict(expected.terms)
 
 
 def test_invalid_labels_rejected():
