@@ -18,6 +18,9 @@ _BACKENDS = {"fractions": Fraction}
 if _gmpy2 is not None:
     _BACKENDS["gmpy2"] = _gmpy2.mpq
 
+# Every rational type this module can construct; values of these need no conversion.
+RATIONAL_TYPES = tuple(_BACKENDS.values())
+
 _name = "gmpy2" if _gmpy2 is not None else "fractions"
 _make = _BACKENDS[_name]
 

@@ -342,6 +342,11 @@ class BracketTable:
             for u_sq, row in zip(self.row_sq, self.core)
         )
 
+    @cached_property
+    def floats(self) -> tuple[tuple[float, ...], ...]:
+        """The correctly rounded double of every entry, computed once for every rendering."""
+        return tuple(tuple(value.to_float() for value in row) for row in self.entries)
+
     def entry(self, n: int, sigma: int) -> SurdValue:
         return self.entries[self.ns.index(n)][self.sigmas.index(sigma)]
 

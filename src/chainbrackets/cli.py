@@ -4,10 +4,13 @@ All behavior is controlled by flags (no environment variables) and every file
 output is byte-reproducible: fixed sort orders, fixed key order, floats
 rendered at 10 significant digits from the correctly rounded double.
 
-Exit codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error.
+Exit codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error,
+4 out of memory, 130 interrupted (Ctrl-C).
 A KernelError (the oracle's kernel solve did not give a one-dimensional
 kernel) or a SurdSumError (an exact sum left the sign * sqrt(rational)
-domain) is a verification failure: exit 2 with an `error:` line.
+domain) is a verification failure: exit 2 with an `error:` line.  A
+MemoryError exits 4 and a KeyboardInterrupt exits 130, each with one line on
+standard error and no traceback.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 EXIT_IO = 3
+EXIT_MEMORY = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports an interrupted command
 
 
 class _UsageError(Exception):
@@ -60,12 +65,13 @@ def format_surd(value: SurdValue) -> str:
     return f"{exact} ≈ {_float_text(value.to_float())}"
 
 
-def _surd_fields(value: SurdValue) -> tuple[int, str, str, str]:
+def _surd_fields(value: SurdValue, approx: float) -> tuple[int, str, str, str]:
+    """Sign, radicand numerator and denominator, and the text of approx = value.to_float()."""
     return (
         value.sign,
         str(int(value.radicand.numerator)),
         str(int(value.radicand.denominator)),
-        _float_text(value.to_float()),
+        _float_text(approx),
     )
 
 
@@ -82,7 +88,7 @@ def render_table_json(tab) -> str:
     rows = []
     for i, n in enumerate(tab.ns):
         for j, sigma in enumerate(tab.sigmas):
-            sign, num, den, flt = _surd_fields(tab.entries[i][j])
+            sign, num, den, flt = _surd_fields(tab.entries[i][j], tab.floats[i][j])
             rows.append(
                 f'    {{"n": {n}, "sigma": {sigma}, "sign": {sign}, '
                 f'"radicand_num": "{num}", "radicand_den": "{den}", "float": {flt}}}'
@@ -97,7 +103,7 @@ def render_table_csv(tab) -> str:
     lines = ["nu,N,tau,n,sigma,sign,radicand_num,radicand_den,float"]
     for i, n in enumerate(tab.ns):
         for j, sigma in enumerate(tab.sigmas):
-            sign, num, den, flt = _surd_fields(tab.entries[i][j])
+            sign, num, den, flt = _surd_fields(tab.entries[i][j], tab.floats[i][j])
             lines.append(f"{tab.nu},{tab.N},{tab.tau},{n},{sigma},{sign},{num},{den},{flt}")
     return "\n".join(lines) + "\n"
 
@@ -119,7 +125,8 @@ def render_transform_json(mat) -> str:
     rows = []
     for i, srow in enumerate(mat.sigmas):
         for j, scol in enumerate(mat.sigmas):
-            sign, num, den, flt = _surd_fields(mat.entries[i][j])
+            value = mat.entries[i][j]
+            sign, num, den, flt = _surd_fields(value, value.to_float())
             rows.append(
                 f'    {{"sigma_row": {srow}, "sigma_col": {scol}, "sign": {sign}, '
                 f'"radicand_num": "{num}", "radicand_den": "{den}", "float": {flt}}}'
@@ -284,6 +291,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("error: out of memory; try a smaller range", file=sys.stderr)
+        return EXIT_MEMORY
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def console_main() -> None:

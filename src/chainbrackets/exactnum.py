@@ -11,7 +11,13 @@ from __future__ import annotations
 import math
 import struct
 
-from ._backend import available_backends, current_backend, rational, set_backend
+from ._backend import (
+    RATIONAL_TYPES,
+    available_backends,
+    current_backend,
+    rational,
+    set_backend,
+)
 
 __all__ = [
     "DomainError",
@@ -213,19 +219,22 @@ class SurdValue:
     __slots__ = ("sign", "radicand")
 
     def __init__(self, sign: int, radicand):
-        radicand = rational(radicand)
+        if type(radicand) not in RATIONAL_TYPES:
+            radicand = rational(radicand)
         if sign not in (-1, 0, 1):
             raise DomainError(f"surd sign must be -1, 0 or +1, got {sign}")
-        if radicand < 0:
+        num = radicand.numerator  # the denominator of a backend rational is positive
+        if num < 0:
             raise DomainError("surd radicand must be nonnegative")
-        if (sign == 0) != (radicand == 0):
+        if (sign == 0) != (num == 0):
             raise DomainError("surd sign is 0 exactly when the radicand is 0")
         self.sign = sign
         self.radicand = radicand
 
     @classmethod
     def zero(cls) -> "SurdValue":
-        return cls(0, rational(0))
+        """The shared zero; surds are never mutated, so one instance serves every caller."""
+        return _SURD_ZERO
 
     @classmethod
     def one(cls) -> "SurdValue":
@@ -242,12 +251,14 @@ class SurdValue:
     @classmethod
     def of_rational(cls, q) -> "SurdValue":
         """Exact embedding of a rational: sign(q) * sqrt(q**2)."""
+        if type(q) is int:
+            return cls((q > 0) - (q < 0), rational(q * q)) if q else _SURD_ZERO
         q = rational(q)
         if q > 0:
             return cls(1, q * q)
         if q < 0:
             return cls(-1, q * q)
-        return cls.zero()
+        return _SURD_ZERO
 
     @property
     def is_zero(self) -> bool:
@@ -273,18 +284,33 @@ class SurdValue:
         return SurdValue(self.sign, 1 / self.radicand)
 
     def __add__(self, other: "SurdValue") -> "SurdValue":
+        """Sum of two surds whose radicands have a rational square ratio, on integers.
+
+        With radicands n1/d1 and n2/d2 and g = gcd(n1 d2, n2 d1), the ratio is
+        a square exactly when n1 d2 / g = a**2 and n2 d1 / g = b**2; then the
+        sum is c sqrt(g / (d1 d2)) with c = sign1 a + sign2 b.
+        """
         if self.sign == 0:
             return other
         if other.sign == 0:
             return self
-        root = rational_sqrt(self.radicand / other.radicand)
-        if root is None:
+        r1, r2 = self.radicand, other.radicand
+        n1, d1 = int(r1.numerator), int(r1.denominator)
+        n2, d2 = int(r2.numerator), int(r2.denominator)
+        p, q = n1 * d2, n2 * d1
+        g = math.gcd(p, q)
+        p //= g
+        q //= g
+        a, b = math.isqrt(p), math.isqrt(q)
+        if a * a != p or b * b != q:
             raise SurdSumError(
-                f"cannot add sqrt({self.radicand}) and sqrt({other.radicand}): "
+                f"cannot add sqrt({r1}) and sqrt({r2}): "
                 "radicand ratio is not a perfect rational square"
             )
-        coeff = self.sign * root + other.sign
-        return SurdValue.sqrt(other.radicand).scale(coeff)
+        c = self.sign * a + other.sign * b
+        if not c:
+            return _SURD_ZERO
+        return SurdValue(1 if c > 0 else -1, rational(c * c * g, d1 * d2))
 
     def __sub__(self, other: "SurdValue") -> "SurdValue":
         return self + (-other)
@@ -325,3 +351,5 @@ class SurdValue:
     def __repr__(self) -> str:
         return f"SurdValue({self.render()})"
 
+
+_SURD_ZERO = SurdValue(0, rational(0))

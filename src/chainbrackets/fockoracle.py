@@ -21,7 +21,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from ._backend import rational
 from .brackets import Convention, as_convention
@@ -36,6 +36,7 @@ __all__ = [
     "NormalizedState",
     "apply",
     "inner",
+    "real_inner_block",
     "seed_state",
     "build_chain1_state",
     "build_chain2_state",
@@ -319,6 +320,43 @@ def inner(psi: FockState, phi: FockState) -> GaussianRational:
     return GaussianRational(re * scale, conj * im * scale)
 
 
+def real_inner_block(bras: list[FockState], kets: list[FockState]) -> list[list[int]]:
+    """Integer parts of the real overlaps <bra_i|ket_j> for every pair.
+
+    <bra_i|ket_j> = block[i][j] * bra_i.scale * ket_j.scale.  Each bra's
+    monomial weights prod occ_j! multiply its coefficients once, not once per
+    ket.  A nonzero imaginary part raises KernelError.
+    """
+    factorial = math.factorial
+    block = []
+    for psi in bras:
+        weighted = []
+        for occ, (re, im) in psi.coeffs.items():
+            weight = 1
+            for x in occ:
+                if x > 1:
+                    weight *= factorial(x)
+            weighted.append((occ, re * weight, im * weight))
+        row = []
+        for phi in kets:
+            get = phi.coeffs.get
+            re = im = 0
+            for occ, ar, ai in weighted:
+                other = get(occ)
+                if other is not None:
+                    br, bi = other
+                    re += ar * br + ai * bi
+                    im += ar * bi - ai * br
+            if im:
+                raise KernelError(
+                    "expected a real inner product, got imaginary part "
+                    f"{im * psi.scale * phi.scale}"
+                )
+            row.append(re)
+        block.append(row)
+    return block
+
+
 # ---------------------------------------------------------------------------
 # Operator constructors
 # ---------------------------------------------------------------------------
@@ -377,6 +415,15 @@ def b_number_operator(nu: int) -> BosonOperator:
 @lru_cache(maxsize=None)
 def s_number_operator(nu: int) -> BosonOperator:
     return BosonOperator([(_one(), ((0, 1),), ((0, 1),))])
+
+
+@lru_cache(maxsize=None)
+def pair_exchange_operator(nu: int) -> BosonOperator:
+    """(1/2) sum_j (b_j^dag^2 s^2 + s^dag^2 b_j^2): moves one boson pair between s and the b space."""
+    half = GaussianRational(rational(1, 2), rational(0))
+    up = [(half, ((j, 2),), ((0, 2),)) for j in range(1, nu + 1)]
+    down = [(half, ((0, 2),), ((j, 2),)) for j in range(1, nu + 1)]
+    return BosonOperator(up + down)
 
 
 def so_generator(nu: int, j: int, k: int) -> BosonOperator:
@@ -480,21 +527,47 @@ def _real_norm_sq(psi: FockState):
     return nsq
 
 
-@lru_cache(maxsize=None)
+def _cached_on(label):
+    """Memoize a state builder on label(*args, **kwargs): the validated, canonical label.
+
+    Every spelling of one label (an omitted, enum or string convention; -tau
+    for tau at nu = 2) reaches the same cache entry.  The returned function
+    carries the cache's cache_info and cache_clear, as an lru_cache does.
+    """
+
+    def decorate(build):
+        cached = lru_cache(maxsize=None)(build)
+
+        @wraps(build)
+        def lookup(*args, **kwargs):
+            return cached(*label(*args, **kwargs))
+
+        lookup.cache_info = cached.cache_info
+        lookup.cache_clear = cached.cache_clear
+        return lookup
+
+    return decorate
+
+
+def _chain1_label(nu: int, N: int, n: int, tau: int) -> tuple:
+    ChainILabel(nu, N, n, tau)
+    return nu, N, n, abs(tau)
+
+
+@_cached_on(_chain1_label)
 def build_chain1_state(nu: int, N: int, n: int, tau: int) -> NormalizedState:
     """Oscillator-chain state: scalar bosons on top of the pair ladder on the seed.
 
-    Built without any closed-form normalization: the ladder phase
-    (-1)^((n-tau)/2) is applied and the exact norm is computed afterwards.
+    The state depends on |tau| only, and is cached on it.  Built without any
+    closed-form normalization: the ladder phase (-1)^((n-tau)/2) is applied
+    and the exact norm is computed afterwards.
     """
-    t = abs(tau)
-    ChainILabel(nu, N, n, tau)
-    psi = seed_state(nu, t)
-    for _ in range((n - t) // 2):
+    psi = seed_state(nu, tau)
+    for _ in range((n - tau) // 2):
         psi = apply(pair_creation_b(nu), psi)
     if N > n:
         psi = apply(creation_power(0, N - n), psi)
-    if ((n - t) // 2) % 2:
+    if ((n - tau) // 2) % 2:
         psi = psi.times(-1)
     return NormalizedState(psi, _real_norm_sq(psi))
 
@@ -623,20 +696,25 @@ def _chain2_intrinsic(nu: int, sigma: int, t: int, barred: bool) -> FockState:
     return state
 
 
-@lru_cache(maxsize=None)
+def _chain2_label(
+    nu: int, N: int, sigma: int, tau: int, convention: Convention = Convention.STANDARD
+) -> tuple:
+    ChainIILabel(nu, N, sigma, tau)
+    return nu, N, sigma, abs(tau), as_convention(convention)
+
+
+@_cached_on(_chain2_label)
 def build_chain2_state(
     nu: int, N: int, sigma: int, tau: int, convention: Convention = Convention.STANDARD
 ) -> NormalizedState:
     """Deformed-chain state: full pair ladder on the intrinsic kernel state.
 
-    Independent of every closed form; the ladder phase (-1)^((N-sigma)/2) is
-    applied and the exact norm computed afterwards.
+    The state depends on |tau| and the convention only, and is cached on
+    them.  Independent of every closed form; the ladder phase
+    (-1)^((N-sigma)/2) is applied and the exact norm computed afterwards.
     """
-    convention = as_convention(convention)
-    t = abs(tau)
-    ChainIILabel(nu, N, sigma, tau)
     barred = convention is Convention.BARRED
-    psi = _chain2_intrinsic(nu, sigma, t, barred)
+    psi = _chain2_intrinsic(nu, sigma, tau, barred)
     steps = (N - sigma) // 2
     for _ in range(steps):
         psi = apply(pair_creation_full(nu, barred), psi)
@@ -659,7 +737,7 @@ def oracle_bracket(
     states, directly comparable to (sign, radicand) of the closed form.
     """
     one = build_chain1_state(nu, N, n, tau)
-    two = build_chain2_state(nu, N, sigma, tau, as_convention(convention))
+    two = build_chain2_state(nu, N, sigma, tau, convention)
     overlap = _real_part(inner(one.state, two.state))
     if not overlap:
         return 0, rational(0)
@@ -796,6 +874,7 @@ _CACHED = (
     number_operator,
     b_number_operator,
     s_number_operator,
+    pair_exchange_operator,
     quasispin_plus,
     quasispin_minus,
     quasispin_zero,

@@ -7,25 +7,35 @@ rational factors: with table entries u_a Q[a][i] v_i, the deformed matrix is
 v_i v_j (Q^T W Q)[i][j] with W = diag(u) M diag(u) rational.  Only
 number-conserving scalar operators are supported, so the transform is
 tau-diagonal.
+
+Both routes run on integers and stay independent of each other.  The
+congruence clears the denominators of W once and those of Q once per column,
+so Q^T W Q is an integer product over the nonzero entries of W.  The oracle
+route takes the integer block <state_i|O|state_j> from
+fockoracle.real_inner_block, using only the constructed states.  Either way
+the scales, norms and v factors enter once per entry, as one rational
+radicand.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 from ._backend import rational
 from .brackets import Convention, as_convention, table
-from .exactnum import GaussianRational, SurdSumError, SurdValue, rational_sqrt
+from .brackets import _cleared  # the same denominator clearing as the orthogonality check
+from .exactnum import SurdSumError, SurdValue, rational_sqrt
 from .fockoracle import (
     BosonOperator,
     apply,
     b_number_operator,
     build_chain2_state,
-    inner,
+    pair_exchange_operator,
+    real_inner_block,
     s_number_operator,
 )
-from .fockoracle import _real_part  # exactness guard shared with the oracle
 from .labels import bracket_index_set
 
 __all__ = [
@@ -123,22 +133,13 @@ def boson_operator(op: OperatorSpec, nu: int) -> BosonOperator:
         return b_number_operator(nu)
     if op is OperatorSpec.S_NUMBER:
         return s_number_operator(nu)
-    half = GaussianRational(rational(1, 2), rational(0))
-    up = BosonOperator(
-        [(half, ((j, 2),), ((0, 2),)) for j in range(1, nu + 1)]
-    )
-    down = BosonOperator(
-        [(half, ((0, 2),), ((j, 2),)) for j in range(1, nu + 1)]
-    )
-    return up + down
+    return pair_exchange_operator(nu)
 
 
-def _oracle_entry(states, i: int, j: int, applied) -> SurdValue:
-    value = _real_part(inner(states[i].state, applied[j]))
-    if not value:
-        return SurdValue.zero()
-    square = value * value / (states[i].norm_sq * states[j].norm_sq)
-    return SurdValue(1 if value > 0 else -1, square)
+def _sign_and_square_over_norm(scale, norm_sq) -> tuple[int, int, int]:
+    """sign(scale) and the integers num, den with scale**2 / norm_sq = num / den."""
+    a, b = int(scale.numerator), int(scale.denominator)
+    return (1 if a > 0 else -1), a * a * int(norm_sq.denominator), b * b * int(norm_sq.numerator)
 
 
 def deformed_matrix_oracle(
@@ -153,13 +154,25 @@ def deformed_matrix_oracle(
     convention = as_convention(convention)
     _, sigmas = bracket_index_set(nu, N, tau)
     states = [build_chain2_state(nu, N, s, tau, convention) for s in sigmas]
-    operator = boson_operator(op, nu)
-    applied = [apply(operator, st.state) for st in states]
-    d = len(sigmas)
-    entries = tuple(
-        tuple(_oracle_entry(states, i, j, applied) for j in range(d)) for i in range(d)
-    )
-    return DeformedMatrix(nu, N, tau, op, convention, sigmas, entries)
+    bosons = boson_operator(op, nu)
+    kets = [apply(bosons, st.state) for st in states]
+    block = real_inner_block([st.state for st in states], kets)
+    # entry (i, j) is block[i][j] * s_i * k_j / sqrt(norm_i * norm_j), with s_i the
+    # bra's scale and k_j the ket's; its square carries s_i**2/norm_i and k_j**2/norm_j
+    bra = [_sign_and_square_over_norm(st.state.scale, st.norm_sq) for st in states]
+    ket = [_sign_and_square_over_norm(k.scale, st.norm_sq) for k, st in zip(kets, states)]
+    zero = SurdValue.zero()
+    entries = []
+    for (si, ni, di), dots in zip(bra, block):
+        row = []
+        for (sj, nj, dj), dot in zip(ket, dots):
+            if not dot:
+                row.append(zero)
+                continue
+            sign = si * sj if dot > 0 else -si * sj
+            row.append(SurdValue(sign, rational(dot * dot * ni * nj, di * dj)))
+        entries.append(tuple(row))
+    return DeformedMatrix(nu, N, tau, op, convention, sigmas, tuple(entries))
 
 
 def operator_core(sph: SphericalMatrix, row_sq) -> tuple[tuple, ...]:
@@ -198,22 +211,36 @@ def deformed_matrix(
 ) -> DeformedMatrix:
     """Two-step transform: congruence of the spherical matrix by the bracket table.
 
-    Entry (i, j) is v_i v_j (Q^T W Q)[i][j], summed over the nonzero entries
-    of W in exact rational arithmetic.
+    Entry (i, j) is v_i v_j (Q^T W Q)[i][j].  The denominators of W are
+    cleared once and those of Q once per column, so (Q^T W Q)[i][j] =
+    T[i][j] / (den_i den_j den_W) with T an integer product that visits only
+    the nonzero entries of W; each entry's radicand is then one rational.
     """
     op = as_operator(op)
     convention = as_convention(convention)
     sph = spherical_matrix(nu, N, tau, op)
     tab = table(nu, N, tau, convention)
     w = operator_core(sph, tab.row_sq)
-    q = tab.core
-    terms = [(a, b, x) for a, row in enumerate(w) for b, x in enumerate(row) if x]
-    zero = rational(0)
+    nonzero = [(a, b) for a, row in enumerate(w) for b, x in enumerate(row) if x]
+    w_ints, w_den = _cleared([w[a][b] for a, b in nonzero])
+    columns = []  # per column i: x_i, W x_i times den_W, and v_i**2 / den_i**2 as (num, den)
+    for column, v_sq in zip(zip(*tab.core), tab.col_sq):
+        x, den = _cleared(column)
+        wx = [0] * len(x)
+        for (a, b), w_ab in zip(nonzero, w_ints):
+            wx[a] += w_ab * x[b]
+        columns.append((x, wx, int(v_sq.numerator), int(v_sq.denominator) * den * den))
+    w_den_sq = w_den * w_den
+    zero = SurdValue.zero()
     entries = []
-    for i, vi_sq in enumerate(tab.col_sq):
+    for x_i, _, num_i, den_i in columns:
         row = []
-        for j, vj_sq in enumerate(tab.col_sq):
-            t = sum((q[a][i] * x * q[b][j] for a, b, x in terms), zero)
-            row.append(SurdValue((t > 0) - (t < 0), vi_sq * vj_sq * t * t))
+        for _, wx_j, num_j, den_j in columns:
+            t = sum(map(operator.mul, x_i, wx_j))
+            if not t:
+                row.append(zero)
+                continue
+            radicand = rational(num_i * num_j * t * t, den_i * den_j * w_den_sq)
+            row.append(SurdValue(1 if t > 0 else -1, radicand))
         entries.append(tuple(row))
     return DeformedMatrix(nu, N, tau, op, convention, tab.sigmas, tuple(entries))

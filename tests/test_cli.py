@@ -198,6 +198,44 @@ def test_exact_arithmetic_failures_exit_2(monkeypatch, capsys, target, argv, exc
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "exc, code, message",
+    [(MemoryError(), 4, "error: out of memory"), (KeyboardInterrupt(), 130, "interrupted")],
+    ids=["MemoryError", "KeyboardInterrupt"],
+)
+@pytest.mark.parametrize("target", ["cmd_table", "cmd_verify"])
+def test_memory_exhaustion_and_interrupt_exit_codes(monkeypatch, capsys, exc, code, message, target):
+    from chainbrackets import cli
+
+    monkeypatch.setattr(cli, target, _raise(exc))
+    argv = ["table", "--nu", "2", "--N", "2", "--tau", "0"] if target == "cmd_table" else ["verify"]
+    got, out, err = run(argv, capsys)
+    assert got == code
+    assert err.startswith(message) and "Traceback" not in err
+    assert out == ""
+
+
+def test_rendering_both_formats_rounds_each_entry_once(monkeypatch):
+    from chainbrackets import cli, exactnum
+    from chainbrackets.brackets import table
+
+    calls = []
+    sqrt_to_float = exactnum.sqrt_to_float
+
+    def counting(q):
+        calls.append(q)
+        return sqrt_to_float(q)
+
+    monkeypatch.setattr(exactnum, "sqrt_to_float", counting)
+    for nu, N, tau, conv in ((2, 6, -2, "standard"), (3, 7, 1, "barred"), (4, 0, 0, "standard")):
+        tab = table(nu, N, tau, conv)
+        calls.clear()
+        cli.render_table_json(tab)
+        cli.render_table_csv(tab)
+        cli.render_table_json(tab)
+        assert len(calls) == len(tab.ns) * len(tab.sigmas)
+
+
 def test_non_integer_flag_exits_1(capsys):
     code, _, err = run(
         ["bracket", "--nu", "two", "--N", "2", "--n", "0", "--sigma", "0", "--tau", "0"],

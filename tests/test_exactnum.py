@@ -132,6 +132,77 @@ def test_surd_invariants_enforced():
         SurdValue.sqrt(-1)
 
 
+@pytest.mark.parametrize(
+    "sign, radicand",
+    [
+        (2, 1),
+        (-2, rational(1, 4)),
+        (1, -1),
+        (-1, rational(-1, 3)),
+        (0, 1),
+        (0, rational(1, 2)),
+        (1, 0),
+        (-1, rational(0)),
+    ],
+    ids=[
+        "sign-int", "sign-rational", "negative-int", "negative-rational",
+        "zero-sign-int", "zero-sign-rational", "zero-radicand-int", "zero-radicand-rational",
+    ],
+)
+def test_each_surd_invariant_raises_for_int_and_rational_radicands(sign, radicand):
+    with pytest.raises(DomainError):
+        SurdValue(sign, radicand)
+
+
+def test_surd_zero_is_shared_and_int_embedding_matches_rational():
+    assert SurdValue.zero() is SurdValue.zero() is SurdValue.of_rational(0)
+    for q in (-7, -1, 1, 12, 10**30):
+        assert SurdValue.of_rational(q) == SurdValue.of_rational(rational(q))
+        assert type(SurdValue.of_rational(q).radicand) is type(rational(1))
+
+
+def _surd_sum_by_fraction(x: SurdValue, y: SurdValue) -> SurdValue:
+    """Reference sum through the Fraction square root of the radicand ratio."""
+    ratio = Fraction(x.radicand) / Fraction(y.radicand)
+    root = Fraction(math.isqrt(ratio.numerator), math.isqrt(ratio.denominator))
+    if root * root != ratio:
+        raise SurdSumError("not a square")
+    coeff = x.sign * root + y.sign
+    return SurdValue((coeff > 0) - (coeff < 0), coeff * coeff * Fraction(y.radicand))
+
+
+def test_surd_add_matches_a_fraction_reference_on_seeded_radicands():
+    # one radicand of the ratio is a square and the other is not
+    for x, y in ((1, 2), (2, 1), (rational(9, 4), 3), (5, rational(1, 16))):
+        with pytest.raises(SurdSumError, match="radicand ratio is not a perfect rational square"):
+            SurdValue.sqrt(x) + SurdValue.sqrt(y)
+    rng = random.Random(77)
+    zeros = raised = 0
+    for _ in range(3000):
+        base = Fraction(rng.randrange(1, 10**6), rng.randrange(1, 10**6))
+        a = Fraction(rng.randrange(-10**4, 10**4), rng.randrange(1, 10**4))
+        b = -a if rng.random() < 0.1 else Fraction(rng.randrange(-10**4, 10**4), rng.randrange(1, 10**4))
+        x = SurdValue.of_rational(a) * SurdValue.sqrt(base)
+        if rng.random() < 0.2:  # an unlike radicand: the ratio is rarely a square
+            y = SurdValue.sqrt(Fraction(rng.randrange(1, 10**6), rng.randrange(1, 10**6)))
+        else:
+            y = SurdValue.of_rational(b) * SurdValue.sqrt(base)
+        if x.is_zero or y.is_zero:
+            assert x + y == (y if x.is_zero else x)
+            continue
+        try:
+            want = _surd_sum_by_fraction(x, y)
+        except SurdSumError:
+            raised += 1
+            with pytest.raises(SurdSumError, match="radicand ratio is not a perfect rational square"):
+                x + y
+            continue
+        got = x + y
+        assert got == want
+        zeros += got.is_zero
+    assert zeros > 100 and raised > 100
+
+
 def test_rational_sqrt():
     assert rational_sqrt(rational(4, 9)) == rational(2, 3)
     assert rational_sqrt(rational(0)) == 0

@@ -355,6 +355,30 @@ def test_invalid_labels_rejected():
         oracle_bracket(3, 2, 1, 2, -1)
 
 
+def test_state_caches_are_keyed_on_the_canonical_label():
+    build_chain2_state.cache_clear()
+    build_chain1_state.cache_clear()
+    calls = [
+        build_chain2_state(2, 4, 2, 2),
+        build_chain2_state(2, 4, 2, 2, Convention.STANDARD),
+        build_chain2_state(2, 4, 2, 2, "standard"),
+        build_chain2_state(2, 4, 2, 2, convention="standard"),
+        build_chain2_state(2, 4, 2, -2),
+    ]
+    assert all(st is calls[0] for st in calls)
+    info = build_chain2_state.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 4)
+    assert build_chain2_state(2, 4, 2, -2, "barred") is build_chain2_state(2, 4, 2, 2, Convention.BARRED)
+    assert build_chain2_state(2, 4, 2, 2, "barred") is not calls[0]
+    assert build_chain1_state(2, 4, 2, -2) is build_chain1_state(2, 4, 2, 2)
+    assert build_chain1_state.cache_info().currsize == 1
+    # the signed label is validated before the cache sees |tau|
+    with pytest.raises(LabelError):
+        build_chain2_state(3, 4, 2, -2)
+    with pytest.raises(LabelError):
+        build_chain1_state(3, 4, 2, -2)
+
+
 def test_state_to_json():
     dump = state_to_json(seed_state(2, 1))
     assert dump == [

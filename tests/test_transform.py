@@ -7,8 +7,17 @@ import dataclasses
 import pytest
 
 from chainbrackets.brackets import Convention, table
-from chainbrackets.exactnum import SurdSumError, SurdValue, rational
-from chainbrackets.fockoracle import apply, build_chain1_state, inner
+from chainbrackets.exactnum import GaussianRational, SurdSumError, SurdValue, rational
+from chainbrackets.fockoracle import (
+    FockState,
+    KernelError,
+    apply,
+    build_chain1_state,
+    build_chain2_state,
+    inner,
+    real_inner_block,
+)
+from chainbrackets.labels import bracket_index_set
 from chainbrackets.transform import (
     OperatorSpec,
     boson_operator,
@@ -158,6 +167,81 @@ def test_deformed_matrices_are_symmetric():
             for i in range(d):
                 for j in range(d):
                     assert mat.entries[i][j] == mat.entries[j][i]
+
+
+def _blocks(nu_max: int = 6, n_max: int = 10):
+    """Every (nu, N, tau) up to the bounds, tau signed at nu = 2, with each op and convention."""
+    for nu in range(2, nu_max + 1):
+        for N in range(n_max + 1):
+            for tau in range(-N if nu == 2 else 0, N + 1):
+                for op in OperatorSpec:
+                    for conv in Convention:
+                        yield nu, N, tau, op, conv
+
+
+def _fraction_congruence(nu, N, tau, op, conv):
+    """v_i v_j (Q^T W Q)[i][j] summed over all of W in rational arithmetic."""
+    tab = table(nu, N, tau, conv)
+    w = operator_core(spherical_matrix(nu, N, tau, op), tab.row_sq)
+    q = tab.core
+    d = len(w)
+    qt_w = [[sum(q[a][i] * w[a][b] for a in range(d)) for b in range(d)] for i in range(d)]
+    rows = []
+    for i, vi_sq in enumerate(tab.col_sq):
+        row = []
+        for j, vj_sq in enumerate(tab.col_sq):
+            t = sum(qt_w[i][b] * q[b][j] for b in range(d))
+            row.append(SurdValue((t > 0) - (t < 0), vi_sq * vj_sq * t * t))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _inner_reference(nu, N, tau, op, conv):
+    """<i|O|j> / sqrt(<i|i><j|j>) entry by entry through `inner` on the constructed states."""
+    _, sigmas = bracket_index_set(nu, N, tau)
+    states = [build_chain2_state(nu, N, s, tau, conv) for s in sigmas]
+    bosons = boson_operator(op, nu)
+    kets = [apply(bosons, sj.state) for sj in states]
+    rows = []
+    for si in states:
+        row = []
+        for sj, ket in zip(states, kets):
+            value = inner(si.state, ket)
+            assert value.im == 0
+            r = value.re
+            row.append(SurdValue((r > 0) - (r < 0), r * r / (si.norm_sq * sj.norm_sq)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_two_step_matches_a_fraction_congruence():
+    for block in _blocks():
+        assert deformed_matrix(*block).entries == _fraction_congruence(*block), block
+
+
+def test_oracle_route_matches_an_inner_reference():
+    for block in _blocks():
+        assert deformed_matrix_oracle(*block).entries == _inner_reference(*block), block
+
+
+def test_real_inner_block_scales_and_rejects_an_imaginary_overlap():
+    bra = FockState({(0, 2, 0): GaussianRational.of(1)})
+    ket = FockState({(0, 2, 0): GaussianRational.of(rational(5, 3))})
+    # <bra|ket> = 2! * 5/3 = block * bra.scale * ket.scale with ket.scale = 1/3
+    assert real_inner_block([bra], [bra, ket]) == [[2, 10]]
+    assert inner(bra, ket) == GaussianRational.of(rational(10, 3))
+    # complex coefficients with a real overlap: <(1+i)m|(1+i)m> = 2 * 2!
+    complex_ = FockState({(0, 2, 0): GaussianRational.of(1, 1)})
+    assert real_inner_block([complex_], [complex_]) == [[4]]
+    # <i m|(3/2) m> = -i * 2! * 3/2, so the imaginary part is -3
+    imaginary = FockState({(0, 2, 0): GaussianRational.of(0, 1)})
+    with pytest.raises(KernelError, match="imaginary part -3$"):
+        real_inner_block([imaginary], [FockState({(0, 2, 0): GaussianRational.of(rational(3, 2))})])
+
+
+def test_pairing_operator_is_cached_per_nu():
+    assert boson_operator(OperatorSpec.PAIRING, 3) is boson_operator("pair", 3)
+    assert boson_operator(OperatorSpec.PAIRING, 3) is not boson_operator(OperatorSpec.PAIRING, 4)
 
 
 def test_negative_tau_delegates_to_magnitude():
