@@ -32,7 +32,6 @@ from .exactnum import (
     double_factorial,
     pochhammer,
     rational,
-    set_backend,
 )
 from .fockoracle import (
     BosonOperator,

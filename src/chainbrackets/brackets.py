@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from ._backend import rational
 from .exactnum import (
     DomainError,
     SurdValue,
     double_factorial,
     factorial,
     pochhammer,
+    rational,
     signed_half_power,
 )
 from .labels import LabelError, bracket_index_set, check_dimension
@@ -364,8 +364,8 @@ class BracketTable:
 
 def _cleared(values) -> tuple[list[int], int]:
     """Integers x_k and a denominator D with values[k] = x_k / D."""
-    den = math.lcm(*(int(v.denominator) for v in values))
-    return [int(v.numerator) * (den // int(v.denominator)) for v in values], den
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _gram_is_inverse_diagonal(vectors, weights, squares) -> bool:
@@ -386,7 +386,7 @@ def _gram_is_inverse_diagonal(vectors, weights, squares) -> bool:
                 continue
             # dot = w_den * den_i**2 / squares[i]
             square = squares[i]
-            if dot * int(square.numerator) != w_den * den_i * den_i * int(square.denominator):
+            if dot * square.numerator != w_den * den_i * den_i * square.denominator:
                 return False
     return True
 

@@ -69,8 +69,8 @@ def _surd_fields(value: SurdValue, approx: float) -> tuple[int, str, str, str]:
     """Sign, radicand numerator and denominator, and the text of approx = value.to_float()."""
     return (
         value.sign,
-        str(int(value.radicand.numerator)),
-        str(int(value.radicand.denominator)),
+        str(value.radicand.numerator),
+        str(value.radicand.denominator),
         _float_text(approx),
     )
 

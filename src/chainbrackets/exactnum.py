@@ -10,23 +10,14 @@ from __future__ import annotations
 
 import math
 import struct
-
-from ._backend import (
-    RATIONAL_TYPES,
-    available_backends,
-    current_backend,
-    rational,
-    set_backend,
-)
+from fractions import Fraction
 
 __all__ = [
     "DomainError",
     "SurdSumError",
     "GaussianRational",
     "SurdValue",
-    "available_backends",
     "current_backend",
-    "set_backend",
     "rational",
     "rational_sqrt",
     "sqrt_to_float",
@@ -37,6 +28,15 @@ __all__ = [
 ]
 
 factorial = math.factorial
+
+# The one exact rational type: rational(num, den) is num/den in lowest terms
+# with a positive denominator, and its parts are ints.
+rational = Fraction
+
+
+def current_backend() -> str:
+    """Name of the exact rational type; kept for callers that record it."""
+    return "fractions"
 
 
 class DomainError(ValueError):
@@ -88,7 +88,7 @@ def signed_half_power(e: int):
 
 def rational_sqrt(q):
     """Exact square root of a rational if it is a perfect square, else None."""
-    num, den = int(q.numerator), int(q.denominator)
+    num, den = q.numerator, q.denominator
     if num < 0:
         return None
     rn = math.isqrt(num)
@@ -115,8 +115,8 @@ def _nearer_to_sqrt(a: float, b: float, q) -> float:
     nb, db = b.as_integer_ratio()
     d = max(da, db)  # both denominators are powers of two
     m = na * (d // da) + nb * (d // db)
-    lhs = int(q.numerator) << (2 * d.bit_length())
-    rhs = int(q.denominator) * m * m
+    lhs = q.numerator << (2 * d.bit_length())
+    rhs = q.denominator * m * m
     if lhs < rhs:
         return a
     if lhs > rhs:
@@ -126,7 +126,7 @@ def _nearer_to_sqrt(a: float, b: float, q) -> float:
 
 def sqrt_to_float(q) -> float:
     """Correctly rounded double of sqrt(q) for rational q >= 0 (ties to even)."""
-    num, den = int(q.numerator), int(q.denominator)
+    num, den = q.numerator, q.denominator
     if num < 0:
         raise DomainError("sqrt of a negative rational")
     if num == 0:
@@ -219,11 +219,11 @@ class SurdValue:
     __slots__ = ("sign", "radicand")
 
     def __init__(self, sign: int, radicand):
-        if type(radicand) not in RATIONAL_TYPES:
-            radicand = rational(radicand)
+        if type(radicand) is not Fraction:
+            radicand = Fraction(radicand)
         if sign not in (-1, 0, 1):
             raise DomainError(f"surd sign must be -1, 0 or +1, got {sign}")
-        num = radicand.numerator  # the denominator of a backend rational is positive
+        num = radicand.numerator  # a Fraction's denominator is positive
         if num < 0:
             raise DomainError("surd radicand must be nonnegative")
         if (sign == 0) != (num == 0):
@@ -295,8 +295,8 @@ class SurdValue:
         if other.sign == 0:
             return self
         r1, r2 = self.radicand, other.radicand
-        n1, d1 = int(r1.numerator), int(r1.denominator)
-        n2, d2 = int(r2.numerator), int(r2.denominator)
+        n1, d1 = r1.numerator, r1.denominator
+        n2, d2 = r2.numerator, r2.denominator
         p, q = n1 * d2, n2 * d1
         g = math.gcd(p, q)
         p //= g
@@ -335,8 +335,8 @@ class SurdValue:
     def to_json_dict(self) -> dict:
         return {
             "sign": self.sign,
-            "num": str(int(self.radicand.numerator)),
-            "den": str(int(self.radicand.denominator)),
+            "num": str(self.radicand.numerator),
+            "den": str(self.radicand.denominator),
             "float": self.to_float(),
         }
 

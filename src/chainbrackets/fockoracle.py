@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, wraps
 
-from ._backend import rational
 from .brackets import Convention, as_convention
-from .exactnum import GaussianRational
+from .exactnum import GaussianRational, rational
 from .labels import ChainILabel, ChainIILabel, LabelError, check_dimension
 
 __all__ = [
@@ -64,14 +63,14 @@ class CasimirGroup(Enum):
 
 def _int_over(q, den: int) -> int:
     """The integer q * den, for a rational q whose denominator divides den."""
-    return int(q.numerator) * (den // int(q.denominator))
+    return q.numerator * (den // q.denominator)
 
 
 def _common_den(values) -> int:
     """Least common denominator of the real and imaginary parts of Gaussian rationals."""
     den = 1
     for c in values:
-        den = math.lcm(den, int(c.re.denominator), int(c.im.denominator))
+        den = math.lcm(den, c.re.denominator, c.im.denominator)
     return den
 
 
@@ -79,8 +78,8 @@ def _multipliers(sa, sb) -> tuple[int, int, object]:
     """Integers ma, mb and a rational c with sa = ma * c and sb = mb * c."""
     if sa == sb:
         return 1, 1, sa
-    na, da = int(sa.numerator), int(sa.denominator)
-    nb, db = int(sb.numerator), int(sb.denominator)
+    na, da = sa.numerator, sa.denominator
+    nb, db = sb.numerator, sb.denominator
     g = math.gcd(na, nb)
     lcm = math.lcm(da, db)
     return na // g * (lcm // da), nb // g * (lcm // db), rational(g, lcm)
@@ -882,6 +881,6 @@ _CACHED = (
 
 
 def clear_caches() -> None:
-    """Drop memoized states and operators (used when switching backends)."""
+    """Drop memoized states and operators, e.g. to free memory or to start from cold caches."""
     for fn in _CACHED:
         fn.cache_clear()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._backend import rational
+from .exactnum import rational
 
 __all__ = [
     "UnsupportedDimensionError",

@@ -4,13 +4,13 @@ Matrix elements in the deformed chain are obtained by congruence with the
 bracket table; every entry is certified against a direct oracle computation
 with the constructed deformed states.  The congruence runs on the table's
 rational factors: with table entries u_a Q[a][i] v_i, the deformed matrix is
-v_i v_j (Q^T W Q)[i][j] with W = diag(u) M diag(u) rational.  Only
+v_i v_j (Q^T W Q)[i][j] with W = diag(u) M diag(u) an integer matrix.  Only
 number-conserving scalar operators are supported, so the transform is
 tau-diagonal.
 
 Both routes run on integers and stay independent of each other.  The
-congruence clears the denominators of W once and those of Q once per column,
-so Q^T W Q is an integer product over the nonzero entries of W.  The oracle
+congruence clears the denominators of Q once per column, so Q^T W Q is an
+integer product over the nonzero entries of W.  The oracle
 route takes the integer block <state_i|O|state_j> from
 fockoracle.real_inner_block, using only the constructed states.  Either way
 the scales, norms and v factors enter once per entry, as one rational
@@ -19,14 +19,14 @@ radicand.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from ._backend import rational
 from .brackets import Convention, as_convention, table
 from .brackets import _cleared  # the same denominator clearing as the orthogonality check
-from .exactnum import SurdSumError, SurdValue, rational_sqrt
+from .exactnum import SurdSumError, SurdValue, rational
 from .fockoracle import (
     BosonOperator,
     apply,
@@ -138,8 +138,8 @@ def boson_operator(op: OperatorSpec, nu: int) -> BosonOperator:
 
 def _sign_and_square_over_norm(scale, norm_sq) -> tuple[int, int, int]:
     """sign(scale) and the integers num, den with scale**2 / norm_sq = num / den."""
-    a, b = int(scale.numerator), int(scale.denominator)
-    return (1 if a > 0 else -1), a * a * int(norm_sq.denominator), b * b * int(norm_sq.numerator)
+    a, b = scale.numerator, scale.denominator
+    return (1 if a > 0 else -1), a * a * norm_sq.denominator, b * b * norm_sq.numerator
 
 
 def deformed_matrix_oracle(
@@ -175,27 +175,31 @@ def deformed_matrix_oracle(
     return DeformedMatrix(nu, N, tau, op, convention, sigmas, tuple(entries))
 
 
-def operator_core(sph: SphericalMatrix, row_sq) -> tuple[tuple, ...]:
-    """W = diag(u) M diag(u) as rationals, with row_sq[a] = u_a**2 of the bracket table.
+def operator_core(sph: SphericalMatrix, row_sq) -> tuple[tuple[int, ...], ...]:
+    """W = diag(u) M diag(u) as integers, with row_sq[a] = u_a**2 of the bracket table.
 
-    For pairing, u_{n-2} u_n sqrt(r) = u_n**2 (N-n+2)(N-n+1)/2.  An entry that
-    is not rational would need sums of unlike surds, so it raises SurdSumError.
+    u_n**2 = (N-n)! (n+t+nu-2)!! (n-t)!! / (2t+nu-2)!! is an integer, because
+    n - t is even and so (2t+nu-2)!! divides (n+t+nu-2)!!.  The number
+    operators give u_n**2 n and u_n**2 (N-n); for pairing,
+    u_{n-2} u_n sqrt(r) = u_n**2 (N-n+2)(N-n+1)/2, an integer too.  An entry
+    that is not an integer (an irrational one would need sums of unlike
+    surds) raises SurdSumError.
     """
     d = len(row_sq)
-    zero = rational(0)
     rows = []
     for a in range(d):
         row = []
         for b in range(d):
             m = sph.entries[a][b]
             if m.is_zero:
-                row.append(zero)
+                row.append(0)
                 continue
-            root = rational_sqrt(row_sq[a] * row_sq[b] * m.radicand)
-            if root is None:
+            square = row_sq[a] * row_sq[b] * m.radicand
+            root = math.isqrt(square.numerator)
+            if square.denominator != 1 or root * root != square.numerator:
                 raise SurdSumError(
                     f"operator {sph.op.value} at nu={sph.nu} N={sph.N} tau={sph.tau}: "
-                    f"u_a u_b M[a][b] is not rational at (a, b) = ({a}, {b})"
+                    f"u_a u_b M[a][b] is not an integer at (a, b) = ({a}, {b})"
                 )
             row.append(root if m.sign > 0 else -root)
         rows.append(tuple(row))
@@ -211,26 +215,25 @@ def deformed_matrix(
 ) -> DeformedMatrix:
     """Two-step transform: congruence of the spherical matrix by the bracket table.
 
-    Entry (i, j) is v_i v_j (Q^T W Q)[i][j].  The denominators of W are
-    cleared once and those of Q once per column, so (Q^T W Q)[i][j] =
-    T[i][j] / (den_i den_j den_W) with T an integer product that visits only
-    the nonzero entries of W; each entry's radicand is then one rational.
+    Entry (i, j) is v_i v_j (Q^T W Q)[i][j].  W is an integer matrix (see
+    operator_core) and the denominators of Q are cleared once per column, so
+    (Q^T W Q)[i][j] = T[i][j] / (den_i den_j) with T an integer product that
+    visits only the nonzero entries of W; each entry's radicand is then one
+    rational.
     """
     op = as_operator(op)
     convention = as_convention(convention)
     sph = spherical_matrix(nu, N, tau, op)
     tab = table(nu, N, tau, convention)
     w = operator_core(sph, tab.row_sq)
-    nonzero = [(a, b) for a, row in enumerate(w) for b, x in enumerate(row) if x]
-    w_ints, w_den = _cleared([w[a][b] for a, b in nonzero])
-    columns = []  # per column i: x_i, W x_i times den_W, and v_i**2 / den_i**2 as (num, den)
+    nonzero = [(a, b, x) for a, row in enumerate(w) for b, x in enumerate(row) if x]
+    columns = []  # per column i: x_i, W x_i, and v_i**2 / den_i**2 as (num, den)
     for column, v_sq in zip(zip(*tab.core), tab.col_sq):
         x, den = _cleared(column)
         wx = [0] * len(x)
-        for (a, b), w_ab in zip(nonzero, w_ints):
+        for a, b, w_ab in nonzero:
             wx[a] += w_ab * x[b]
-        columns.append((x, wx, int(v_sq.numerator), int(v_sq.denominator) * den * den))
-    w_den_sq = w_den * w_den
+        columns.append((x, wx, v_sq.numerator, v_sq.denominator * den * den))
     zero = SurdValue.zero()
     entries = []
     for x_i, _, num_i, den_i in columns:
@@ -240,7 +243,7 @@ def deformed_matrix(
             if not t:
                 row.append(zero)
                 continue
-            radicand = rational(num_i * num_j * t * t, den_i * den_j * w_den_sq)
+            radicand = rational(num_i * num_j * t * t, den_i * den_j)
             row.append(SurdValue(1 if t > 0 else -1, radicand))
         entries.append(tuple(row))
     return DeformedMatrix(nu, N, tau, op, convention, tab.sigmas, tuple(entries))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._backend import rational
 from .brackets import (
     Convention,
     bracket,
@@ -20,7 +19,7 @@ from .brackets import (
     table,
     verify_F_via_gegenbauer,
 )
-from .exactnum import SurdValue
+from .exactnum import SurdValue, rational
 from .fockoracle import (
     CasimirGroup,
     build_chain2_state,

@@ -14,14 +14,11 @@ from chainbrackets.exactnum import (
     GaussianRational,
     SurdSumError,
     SurdValue,
-    available_backends,
     binomial,
-    current_backend,
     double_factorial,
     pochhammer,
     rational,
     rational_sqrt,
-    set_backend,
     sqrt_to_float,
 )
 
@@ -284,17 +281,8 @@ def test_gaussian_rational_arithmetic():
     assert (a - a).is_zero
 
 
-def test_backends_agree():
-    if len(available_backends()) < 2:
-        pytest.skip("only one rational backend installed")
-    original = current_backend()
-    try:
-        results = {}
-        for name in available_backends():
-            set_backend(name)
-            v = SurdValue.sqrt(rational(5, 11)).scale(rational(-3, 7))
-            results[name] = (v.sign, str(v.radicand), v.to_float(), v.render())
-        vals = list(results.values())
-        assert vals[0] == vals[1]
-    finally:
-        set_backend(original)
+
+def test_rational_is_fraction():
+    assert rational is Fraction
+    assert exactnum.current_backend() == "fractions"
+    assert type(SurdValue(1, 2).radicand) is Fraction

@@ -99,6 +99,17 @@ def test_operator_core_rejects_an_irrational_entry():
         operator_core(bad, table(3, 6, 0).row_sq)
 
 
+def test_operator_core_rejects_a_non_integral_entry():
+    sph = spherical_matrix(3, 6, 0, OperatorSpec.PAIRING)
+    u_sq = table(3, 6, 0).row_sq
+    w01 = operator_core(sph, u_sq)[0][1]
+    entries = [list(row) for row in sph.entries]
+    entries[0][1] = entries[0][1].scale(rational(1, 2 * w01))  # W[0][1] becomes 1/2
+    bad = dataclasses.replace(sph, entries=tuple(map(tuple, entries)))
+    with pytest.raises(SurdSumError, match=r"nu=3 N=6 tau=0: .* not an integer at \(a, b\) = \(0, 1\)"):
+        operator_core(bad, u_sq)
+
+
 def test_deformed_bnum_example():
     mat = deformed_matrix(2, 2, 0, OperatorSpec.B_NUMBER)
     assert mat.sigmas == (0, 2)
@@ -217,6 +228,12 @@ def _inner_reference(nu, N, tau, op, conv):
 def test_two_step_matches_a_fraction_congruence():
     for block in _blocks():
         assert deformed_matrix(*block).entries == _fraction_congruence(*block), block
+
+
+def test_operator_core_is_integral():
+    for nu, N, tau, op, conv in _blocks():
+        w = operator_core(spherical_matrix(nu, N, tau, op), table(nu, N, tau, conv).row_sq)
+        assert all(type(x) is int for row in w for x in row), (nu, N, tau, op, conv)
 
 
 def test_oracle_route_matches_an_inner_reference():
