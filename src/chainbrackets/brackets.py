@@ -30,7 +30,7 @@ from .exactnum import (
     rational,
     signed_half_power,
 )
-from .labels import LabelError, bracket_index_set, check_dimension
+from .labels import ChainIILabel, ChainILabel, LabelError, bracket_index_set, check_dimension
 
 __all__ = [
     "Convention",
@@ -125,32 +125,9 @@ def coeff_F(nu: int, sigma: int, tau: int, k: int) -> SurdValue:
 
 def _validate_bracket_labels(nu: int, N: int, n: int, sigma: int, tau: int) -> int:
     """Admissibility of (n, tau) in chain I and (sigma, tau) in chain II; returns |tau|."""
-    check_dimension(nu)
-    if N < 0:
-        raise LabelError(f"N={N} must be nonnegative")
-    if tau < 0 and nu != 2:
-        raise LabelError(f"negative tau={tau} only exists for nu=2")
-    t = abs(tau)
-    if not 0 <= n <= N:
-        raise LabelError(f"n={n} violates 0 <= n <= N={N}")
-    if n < t:
-        raise LabelError(f"n={n} violates n >= |tau|={t} (U(nu) > SO(nu) branching)")
-    if (n - t) % 2:
-        raise LabelError(
-            f"n - tau must be even, got n={n}, tau={tau} (U(nu) > SO(nu) branching)"
-        )
-    if not 0 <= sigma <= N:
-        raise LabelError(f"sigma={sigma} violates 0 <= sigma <= N={N}")
-    if (N - sigma) % 2:
-        raise LabelError(
-            f"N - sigma must be even, got N={N}, sigma={sigma} "
-            "(U(nu+1) > SO(nu+1) branching)"
-        )
-    if sigma < t:
-        raise LabelError(
-            f"sigma={sigma} violates sigma >= |tau|={t} (SO(nu+1) > SO(nu) branching)"
-        )
-    return t
+    ChainILabel(nu, N, n, tau)
+    ChainIILabel(nu, N, sigma, tau)
+    return abs(tau)
 
 
 def barred_sign(n: int, tau: int) -> int:

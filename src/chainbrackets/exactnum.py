@@ -9,7 +9,6 @@ Floats exist only as a rendering of the exact result.
 from __future__ import annotations
 
 import math
-import struct
 from fractions import Fraction
 
 __all__ = [
@@ -98,55 +97,28 @@ def rational_sqrt(q):
     return None
 
 
-def _mantissa_even(x: float) -> bool:
-    return struct.unpack("<Q", struct.pack("<d", x))[0] & 1 == 0
-
-
-def _nearer_to_sqrt(a: float, b: float, q) -> float:
-    """The one of two doubles a <= b nearer to sqrt(q); exact tie goes to even.
-
-    The midpoint of a and b is M / 2**k for integers M and k >= 1, so with
-    q = num / den the comparison of q against the squared midpoint is the
-    integer comparison of num * 4**k against den * M**2.
-    """
-    if a == b:
-        return a
-    na, da = a.as_integer_ratio()
-    nb, db = b.as_integer_ratio()
-    d = max(da, db)  # both denominators are powers of two
-    m = na * (d // da) + nb * (d // db)
-    lhs = q.numerator << (2 * d.bit_length())
-    rhs = q.denominator * m * m
-    if lhs < rhs:
-        return a
-    if lhs > rhs:
-        return b
-    return a if _mantissa_even(a) else b
-
-
 def sqrt_to_float(q) -> float:
-    """Correctly rounded double of sqrt(q) for rational q >= 0 (ties to even)."""
+    """Correctly rounded double of sqrt(q) for rational q >= 0 (ties to even).
+
+    With s chosen so that t = isqrt(q * 4**s) has at least 55 bits, an inexact
+    root is rounded to odd (sticky low bit set): the sticky bit then lies
+    below the rounding bit of any double, so the correctly rounded int true
+    division t / 2**s rounds sqrt(q) correctly, subnormals included.
+    """
     num, den = q.numerator, q.denominator
     if num < 0:
         raise DomainError("sqrt of a negative rational")
     if num == 0:
         return 0.0
-    # Scaled integer sqrt gives >= ~128 significant bits; the exact neighbor
-    # comparison below then settles the final rounding decision.
-    shift = max(0, 260 - (num.bit_length() - den.bit_length()))
-    shift += shift & 1
-    t = math.isqrt((num << shift) // den)
+    s = max(0, (112 - num.bit_length() + den.bit_length()) // 2)
+    m, rem = divmod(num << (2 * s), den)
+    t = math.isqrt(m)
+    if rem or t * t != m:
+        t |= 1
     try:
-        x = t / (1 << (shift // 2))  # int true division rounds correctly
+        return t / (1 << s)
     except OverflowError:
         return math.inf
-    lo = max(0.0, math.nextafter(x, -math.inf))
-    hi = math.nextafter(x, math.inf)
-    best = lo
-    for cand in (x, hi):
-        a, b = (best, cand) if best <= cand else (cand, best)
-        best = _nearer_to_sqrt(a, b, q)
-    return best
 
 
 class GaussianRational:
@@ -331,14 +303,6 @@ class SurdValue:
             return "0"
         prefix = "+" if self.sign > 0 else "-"
         return f"{prefix}sqrt({self.radicand})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sign": self.sign,
-            "num": str(self.radicand.numerator),
-            "den": str(self.radicand.denominator),
-            "float": self.to_float(),
-        }
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SurdValue):

@@ -258,9 +258,6 @@ class BosonOperator:
     def __add__(self, other: "BosonOperator") -> "BosonOperator":
         return BosonOperator(self.terms + other.terms)
 
-    def __sub__(self, other: "BosonOperator") -> "BosonOperator":
-        return self + other.scaled(GaussianRational(rational(-1), rational(0)))
-
     def scaled(self, c: GaussianRational) -> "BosonOperator":
         return BosonOperator([(coeff * c, cre, ann) for coeff, cre, ann in self.terms])
 
@@ -639,18 +636,6 @@ def _kernel_ints(columns: list[dict]) -> tuple[list[tuple[int, int]], int]:
         xr, xi = rows[r][f0]
         vec[col] = (-xr, -xi)
     return vec, f0
-
-
-def _nullspace_vector(images: list[FockState]) -> list[GaussianRational]:
-    """The unique (up to scale) kernel vector of the column maps, with free entry 1."""
-    ints, f0 = _kernel_ints([col.coeffs for col in images])
-    # column j is coeffs_j * scale_j, so the kernel entries are ints_j / scale_j
-    vec = [
-        GaussianRational(rational(re) / col.scale, rational(im) / col.scale)
-        for (re, im), col in zip(ints, images)
-    ]
-    inv = vec[f0].inverse()
-    return [v * inv for v in vec]
 
 
 @lru_cache(maxsize=None)

@@ -40,19 +40,13 @@ def check_dimension(nu: int) -> None:
         raise UnsupportedDimensionError(f"dimension nu must be >= 2, got {nu}")
 
 
-def _check_tau_range(nu: int, tau: int, upper: int, upper_name: str) -> None:
-    if nu == 2:
-        if abs(tau) > upper:
-            raise LabelError(
-                f"tau={tau} violates -{upper_name} <= tau <= {upper_name} (nu=2 branching)"
-            )
-    else:
-        if tau < 0:
-            raise LabelError(f"tau={tau} must be nonnegative for nu={nu} > 2")
-        if tau > upper:
-            raise LabelError(
-                f"tau={tau} violates 0 <= tau <= {upper_name}={upper} (branching)"
-            )
+def _check_shell(nu: int, N: int, tau: int) -> None:
+    """The (nu, N, tau) checks shared by both chains; a negative tau only exists at nu = 2."""
+    check_dimension(nu)
+    if N < 0:
+        raise LabelError(f"N={N} must be nonnegative")
+    if tau < 0 and nu != 2:
+        raise LabelError(f"negative tau={tau} only exists for nu=2")
 
 
 @dataclass(frozen=True, order=True)
@@ -65,16 +59,15 @@ class ChainILabel:
     tau: int
 
     def __post_init__(self):
-        check_dimension(self.nu)
-        if self.N < 0:
-            raise LabelError(f"N={self.N} must be nonnegative")
-        if not 0 <= self.n <= self.N:
-            raise LabelError(f"n={self.n} violates 0 <= n <= N={self.N}")
-        _check_tau_range(self.nu, self.tau, self.n, "n")
-        if (self.n - abs(self.tau)) % 2:
+        _check_shell(self.nu, self.N, self.tau)
+        n, tau, t = self.n, self.tau, abs(self.tau)
+        if not 0 <= n <= self.N:
+            raise LabelError(f"n={n} violates 0 <= n <= N={self.N}")
+        if n < t:
+            raise LabelError(f"n={n} violates n >= |tau|={t} (U(nu) > SO(nu) branching)")
+        if (n - t) % 2:
             raise LabelError(
-                f"n - tau must be even, got n={self.n}, tau={self.tau} "
-                "(U(nu) > SO(nu) branching)"
+                f"n - tau must be even, got n={n}, tau={tau} (U(nu) > SO(nu) branching)"
             )
 
 
@@ -88,17 +81,19 @@ class ChainIILabel:
     tau: int
 
     def __post_init__(self):
-        check_dimension(self.nu)
-        if self.N < 0:
-            raise LabelError(f"N={self.N} must be nonnegative")
-        if not 0 <= self.sigma <= self.N:
-            raise LabelError(f"sigma={self.sigma} violates 0 <= sigma <= N={self.N}")
-        if (self.N - self.sigma) % 2:
+        _check_shell(self.nu, self.N, self.tau)
+        N, sigma, t = self.N, self.sigma, abs(self.tau)
+        if not 0 <= sigma <= N:
+            raise LabelError(f"sigma={sigma} violates 0 <= sigma <= N={N}")
+        if (N - sigma) % 2:
             raise LabelError(
-                f"N - sigma must be even, got N={self.N}, sigma={self.sigma} "
+                f"N - sigma must be even, got N={N}, sigma={sigma} "
                 "(U(nu+1) > SO(nu+1) branching)"
             )
-        _check_tau_range(self.nu, self.tau, self.sigma, "sigma")
+        if sigma < t:
+            raise LabelError(
+                f"sigma={sigma} violates sigma >= |tau|={t} (SO(nu+1) > SO(nu) branching)"
+            )
 
 
 @dataclass(frozen=True)
@@ -120,9 +115,7 @@ class QuasiSpinLabel:
 
 def enumerate_chain1(nu: int, N: int) -> list[ChainILabel]:
     """All (n, tau) labels of the oscillator chain for total boson number N."""
-    check_dimension(nu)
-    if N < 0:
-        raise LabelError(f"N={N} must be nonnegative")
+    _check_shell(nu, N, 0)
     out = []
     for n in range(N + 1):
         taus = range(-n, n + 1, 2) if nu == 2 else range(n % 2, n + 1, 2)
@@ -133,9 +126,7 @@ def enumerate_chain1(nu: int, N: int) -> list[ChainILabel]:
 
 def enumerate_chain2(nu: int, N: int) -> list[ChainIILabel]:
     """All (sigma, tau) labels of the deformed chain for total boson number N."""
-    check_dimension(nu)
-    if N < 0:
-        raise LabelError(f"N={N} must be nonnegative")
+    _check_shell(nu, N, 0)
     out = []
     for sigma in range(N % 2, N + 1, 2):
         taus = range(-sigma, sigma + 1) if nu == 2 else range(sigma + 1)
@@ -150,11 +141,7 @@ def bracket_index_set(nu: int, N: int, tau: int) -> tuple[tuple[int, ...], tuple
     Both lists have the same length floor((N - |tau|)/2) + 1: the change of
     basis is square within each tau block.
     """
-    check_dimension(nu)
-    if N < 0:
-        raise LabelError(f"N={N} must be nonnegative")
-    if tau < 0 and nu != 2:
-        raise LabelError(f"negative tau={tau} only exists for nu=2")
+    _check_shell(nu, N, tau)
     t = abs(tau)
     if t > N:
         raise LabelError(f"tau={tau} inadmissible for N={N}: |tau| <= N required")

@@ -7,6 +7,7 @@ the offending label tuple and both values.  There are no tolerances anywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .brackets import (
@@ -19,7 +20,7 @@ from .brackets import (
     table,
     verify_F_via_gegenbauer,
 )
-from .exactnum import SurdValue, rational
+from .exactnum import SurdValue
 from .fockoracle import (
     CasimirGroup,
     build_chain2_state,
@@ -71,301 +72,255 @@ class SuiteResult:
         return text
 
 
-def _admissible_taus(nu: int, N: int):
-    return range(-N, N + 1) if nu == 2 else range(N + 1)
+def _run(name: str, checks) -> SuiteResult:
+    """Count checks up to the first failure; each check yields None or its failure text."""
+    checked = 0
+    for failure in checks:
+        checked += 1
+        if failure is not None:
+            return SuiteResult(name, False, checked, failure)
+    return SuiteResult(name, True, checked)
+
+
+def _blocks(nu_max: int, n_max: int):
+    """Every (nu, N, tau) bracket block in the range, tau signed at nu = 2."""
+    for nu in range(2, nu_max + 1):
+        for N in range(n_max + 1):
+            for tau in range(-N, N + 1) if nu == 2 else range(N + 1):
+                yield nu, N, tau
 
 
 def _bracket_labels(nu_max: int, n_max: int):
     """All (nu, N, tau, n, sigma) with both chain labels admissible."""
-    for nu in range(2, nu_max + 1):
-        for N in range(n_max + 1):
-            for tau in _admissible_taus(nu, N):
-                ns, sigmas = bracket_index_set(nu, N, tau)
-                for n in ns:
-                    for sigma in sigmas:
-                        yield nu, N, tau, n, sigma
+    for nu, N, tau in _blocks(nu_max, n_max):
+        ns, sigmas = bracket_index_set(nu, N, tau)
+        for n in ns:
+            for sigma in sigmas:
+                yield nu, N, tau, n, sigma
 
 
 def suite_orthogonality(nu_max: int, n_max: int) -> SuiteResult:
     """Every bracket table is exactly orthogonal, in both conventions."""
-    checked = 0
-    for nu in range(2, nu_max + 1):
-        for N in range(n_max + 1):
-            for tau in _admissible_taus(nu, N):
-                for conv in _BOTH:
-                    tab = table(nu, N, tau, conv)
-                    checked += 1
-                    if not tab.is_orthogonal():
-                        return SuiteResult(
-                            "orth",
-                            False,
-                            checked,
-                            f"table nu={nu} N={N} tau={tau} {conv.value}",
-                        )
-    return SuiteResult("orth", True, checked)
+    return _run(
+        "orth",
+        (
+            None
+            if table(nu, N, tau, conv).is_orthogonal()
+            else f"table nu={nu} N={N} tau={tau} {conv.value}"
+            for nu, N, tau in _blocks(nu_max, n_max)
+            for conv in _BOTH
+        ),
+    )
 
 
 def suite_formula_equivalence(nu_max: int, n_max: int) -> SuiteResult:
     """The three evaluation routes agree exactly on every admissible label."""
-    checked = 0
-    for nu, N, tau, n, sigma in _bracket_labels(nu_max, n_max):
-        reference = bracket(nu, N, n, sigma, tau)
-        expanded = bracket_expanded(nu, N, n, sigma, tau)
-        poch = bracket_pochhammer(nu, N, n, sigma, tau)
-        checked += 1
-        if not (reference == expanded == poch):
-            return SuiteResult(
-                "poch",
-                False,
-                checked,
+
+    def checks():
+        for nu, N, tau, n, sigma in _bracket_labels(nu_max, n_max):
+            reference = bracket(nu, N, n, sigma, tau)
+            expanded = bracket_expanded(nu, N, n, sigma, tau)
+            poch = bracket_pochhammer(nu, N, n, sigma, tau)
+            yield None if reference == expanded == poch else (
                 f"nu={nu} N={N} tau={tau} n={n} sigma={sigma}: "
                 f"factored={reference.render()} expanded={expanded.render()} "
-                f"pochhammer={poch.render()}",
+                f"pochhammer={poch.render()}"
             )
-    return SuiteResult("poch", True, checked)
+
+    return _run("poch", checks())
 
 
 def suite_sigma_equals_n(nu_max: int, n_max: int) -> SuiteResult:
     """The stretched-column closed form matches the general bracket, sign included."""
-    checked = 0
-    for nu in range(2, nu_max + 1):
-        for N in range(n_max + 1):
-            for tau in _admissible_taus(nu, N):
-                ns, sigmas = bracket_index_set(nu, N, tau)
-                if sigmas[-1] != N:
-                    continue
-                for n in ns:
-                    general = bracket(nu, N, n, N, tau)
-                    special = bracket_sigma_eq_N(nu, N, n, tau)
-                    checked += 1
-                    if general != special or special.sign < 0:
-                        return SuiteResult(
-                            "sigmaN",
-                            False,
-                            checked,
-                            f"nu={nu} N={N} tau={tau} n={n}: "
-                            f"general={general.render()} special={special.render()}",
-                        )
-    return SuiteResult("sigmaN", True, checked)
+
+    def checks():
+        for nu, N, tau in _blocks(nu_max, n_max):
+            ns, sigmas = bracket_index_set(nu, N, tau)
+            if sigmas[-1] != N:
+                continue
+            for n in ns:
+                general = bracket(nu, N, n, N, tau)
+                special = bracket_sigma_eq_N(nu, N, n, tau)
+                yield None if general == special and special.sign >= 0 else (
+                    f"nu={nu} N={N} tau={tau} n={n}: "
+                    f"general={general.render()} special={special.render()}"
+                )
+
+    return _run("sigmaN", checks())
 
 
 def suite_oracle_equivalence(nu_max: int, n_max: int) -> SuiteResult:
     """Closed-form (sign, radicand) equals the Fock oracle's (sign, square)."""
-    checked = 0
-    for nu, N, tau, n, sigma in _bracket_labels(nu_max, n_max):
-        for conv in _BOTH:
-            closed = bracket(nu, N, n, sigma, tau, conv)
-            sign, square = oracle_bracket(nu, N, n, sigma, tau, conv)
-            checked += 1
-            if closed.sign != sign or closed.radicand != square:
-                return SuiteResult(
-                    "oracle",
-                    False,
-                    checked,
+
+    def checks():
+        for nu, N, tau, n, sigma in _bracket_labels(nu_max, n_max):
+            for conv in _BOTH:
+                closed = bracket(nu, N, n, sigma, tau, conv)
+                sign, square = oracle_bracket(nu, N, n, sigma, tau, conv)
+                yield None if closed.sign == sign and closed.radicand == square else (
                     f"nu={nu} N={N} tau={tau} n={n} sigma={sigma} {conv.value}: "
-                    f"closed={closed.render()} oracle=({sign}, {square})",
+                    f"closed={closed.render()} oracle=({sign}, {square})"
                 )
-    return SuiteResult("oracle", True, checked)
+
+    return _run("oracle", checks())
 
 
 def suite_casimir(nu_max: int, n_max: int) -> SuiteResult:
     """Every constructed deformed state is a termwise eigenstate of the defining triple."""
-    checked = 0
-    for nu in range(2, nu_max + 1):
-        for N in range(n_max + 1):
-            for sigma in range(N % 2, N + 1, 2):
-                for tau in range(sigma + 1):
-                    for conv in _BOTH:
-                        st = build_chain2_state(nu, N, sigma, tau, conv)
-                        ok = (
-                            is_exact_eigenstate(
-                                nu,
-                                st.state,
-                                CasimirGroup.SO_NU_PLUS_ONE,
-                                sigma * (sigma + nu - 1),
-                                conv,
-                            )
-                            and is_exact_eigenstate(
-                                nu,
-                                st.state,
-                                CasimirGroup.SO_NU,
-                                tau * (tau + nu - 2),
-                                conv,
-                            )
-                            and apply(number_operator(nu), st.state)
-                            == st.state.times(N)
-                        )
-                        checked += 1
-                        if not ok:
-                            return SuiteResult(
-                                "casimir",
-                                False,
-                                checked,
-                                f"nu={nu} N={N} sigma={sigma} tau={tau} {conv.value}",
-                            )
-    return SuiteResult("casimir", True, checked)
+
+    def holds(nu, N, sigma, tau, conv) -> bool:
+        st = build_chain2_state(nu, N, sigma, tau, conv)
+        return (
+            is_exact_eigenstate(
+                nu, st.state, CasimirGroup.SO_NU_PLUS_ONE, sigma * (sigma + nu - 1), conv
+            )
+            and is_exact_eigenstate(nu, st.state, CasimirGroup.SO_NU, tau * (tau + nu - 2), conv)
+            and apply(number_operator(nu), st.state) == st.state.times(N)
+        )
+
+    return _run(
+        "casimir",
+        (
+            None
+            if holds(nu, N, sigma, tau, conv)
+            else f"nu={nu} N={N} sigma={sigma} tau={tau} {conv.value}"
+            for nu in range(2, nu_max + 1)
+            for N in range(n_max + 1)
+            for sigma in range(N % 2, N + 1, 2)
+            for tau in range(sigma + 1)
+            for conv in _BOTH
+        ),
+    )
 
 
 def suite_gegenbauer(nu_max: int, delta_max: int = 10, sigma_max: int = 12) -> SuiteResult:
     """Expansion coefficients reconstructed through the polynomial route match."""
-    checked = 0
-    for nu in range(2, nu_max + 1):
-        for sigma in range(sigma_max + 1):
-            for tau in range(max(0, sigma - delta_max), sigma + 1):
-                checked += 1
-                if not verify_F_via_gegenbauer(nu, sigma, tau):
-                    return SuiteResult(
-                        "gegenbauer", False, checked, f"nu={nu} sigma={sigma} tau={tau}"
-                    )
-    return SuiteResult("gegenbauer", True, checked)
+    return _run(
+        "gegenbauer",
+        (
+            None if verify_F_via_gegenbauer(nu, sigma, tau) else f"nu={nu} sigma={sigma} tau={tau}"
+            for nu in range(2, nu_max + 1)
+            for sigma in range(sigma_max + 1)
+            for tau in range(max(0, sigma - delta_max), sigma + 1)
+        ),
+    )
 
 
 def suite_su11(nus=(2, 3, 5), cutoff: int = 6) -> SuiteResult:
     """Quasi-spin commutators and pair-operator centralizer checks."""
-    checked = 0
-    for nu in nus:
-        checked += 1
-        if not su11_commutator_check(nu, cutoff):
-            return SuiteResult("su11", False, checked, f"nu={nu} cutoff={cutoff}")
-    return SuiteResult("su11", True, checked)
+    return _run(
+        "su11",
+        (None if su11_commutator_check(nu, cutoff) else f"nu={nu} cutoff={cutoff}" for nu in nus),
+    )
 
 
 def suite_barred_sign(nu_max: int, n_max: int) -> SuiteResult:
     """Barred bracket = (-1)^((n-tau)/2) * standard bracket, entrywise."""
-    checked = 0
-    for nu, N, tau, n, sigma in _bracket_labels(nu_max, n_max):
-        standard = bracket(nu, N, n, sigma, tau, Convention.STANDARD)
-        barred = bracket(nu, N, n, sigma, tau, Convention.BARRED)
-        expected = standard if barred_sign(n, tau) > 0 else -standard
-        checked += 1
-        if barred != expected:
-            return SuiteResult(
-                "barred",
-                False,
-                checked,
-                f"nu={nu} N={N} tau={tau} n={n} sigma={sigma}",
-            )
-    return SuiteResult("barred", True, checked)
+
+    def checks():
+        for nu, N, tau, n, sigma in _bracket_labels(nu_max, n_max):
+            standard = bracket(nu, N, n, sigma, tau, Convention.STANDARD)
+            barred = bracket(nu, N, n, sigma, tau, Convention.BARRED)
+            expected = standard if barred_sign(n, tau) > 0 else -standard
+            yield None if barred == expected else f"nu={nu} N={N} tau={tau} n={n} sigma={sigma}"
+
+    return _run("barred", checks())
 
 
-def _matrix_equal(a, b) -> bool:
-    return a.entries == b.entries
+def _symmetric_with_trace_of(mat, sph) -> bool:
+    """Whether mat is symmetric and has the trace of the spherical matrix sph."""
+    d = len(mat.sigmas)
+    trace = sum((mat.entries[i][i] for i in range(d)), SurdValue.zero())
+    trace_sph = sum((sph.entries[i][i] for i in range(d)), SurdValue.zero())
+    return trace == trace_sph and all(
+        mat.entries[i][j] == mat.entries[j][i] for i in range(d) for j in range(d)
+    )
+
+
+def _numbers_sum_to(mats, N: int) -> bool:
+    """Whether the bnum and snum matrices add up to N times the identity."""
+    bnum, snum = mats[OperatorSpec.B_NUMBER].entries, mats[OperatorSpec.S_NUMBER].entries
+    n_id = SurdValue.of_rational(N)
+    d = len(bnum)
+    return all(
+        bnum[i][j] + snum[i][j] == (n_id if i == j else SurdValue.zero())
+        for i in range(d)
+        for j in range(d)
+    )
 
 
 def suite_transform(nu_max: int, n_max: int) -> SuiteResult:
     """Two-step transform equals the direct oracle; trace and operator identities hold."""
-    checked = 0
-    for nu in range(2, nu_max + 1):
-        for N in range(n_max + 1):
-            for tau in _admissible_taus(nu, N):
-                for conv in _BOTH:
-                    mats = {}
-                    for op in OperatorSpec:
-                        two_step = deformed_matrix(nu, N, tau, op, conv)
-                        direct = deformed_matrix_oracle(nu, N, tau, op, conv)
-                        checked += 1
-                        if not _matrix_equal(two_step, direct):
-                            return SuiteResult(
-                                "transform",
-                                False,
-                                checked,
-                                f"nu={nu} N={N} tau={tau} op={op.value} {conv.value}",
-                            )
-                        sph = spherical_matrix(nu, N, tau, op)
-                        d = len(two_step.sigmas)
-                        trace = SurdValue.zero()
-                        trace_sph = SurdValue.zero()
-                        for i in range(d):
-                            trace = trace + two_step.entries[i][i]
-                            trace_sph = trace_sph + sph.entries[i][i]
-                        symmetric = all(
-                            two_step.entries[i][j] == two_step.entries[j][i]
-                            for i in range(d)
-                            for j in range(d)
-                        )
-                        if trace != trace_sph or not symmetric:
-                            return SuiteResult(
-                                "transform",
-                                False,
-                                checked,
-                                f"trace/symmetry nu={nu} N={N} tau={tau} op={op.value}",
-                            )
-                        mats[op] = two_step
-                    d = len(mats[OperatorSpec.B_NUMBER].sigmas)
-                    n_id = SurdValue.of_rational(N)
-                    for i in range(d):
-                        for j in range(d):
-                            total = (
-                                mats[OperatorSpec.B_NUMBER].entries[i][j]
-                                + mats[OperatorSpec.S_NUMBER].entries[i][j]
-                            )
-                            want = n_id if i == j else SurdValue.zero()
-                            if total != want:
-                                return SuiteResult(
-                                    "transform",
-                                    False,
-                                    checked,
-                                    f"bnum+snum != N*I at nu={nu} N={N} tau={tau}",
-                                )
-    return SuiteResult("transform", True, checked)
+
+    def checks():
+        for nu, N, tau in _blocks(nu_max, n_max):
+            for conv in _BOTH:
+                mats = {}
+                for op in OperatorSpec:
+                    mats[op] = two_step = deformed_matrix(nu, N, tau, op, conv)
+                    direct = deformed_matrix_oracle(nu, N, tau, op, conv)
+                    if two_step.entries != direct.entries:
+                        yield f"nu={nu} N={N} tau={tau} op={op.value} {conv.value}"
+                    elif not _symmetric_with_trace_of(two_step, spherical_matrix(nu, N, tau, op)):
+                        yield f"trace/symmetry nu={nu} N={N} tau={tau} op={op.value}"
+                    elif len(mats) == len(OperatorSpec) and not _numbers_sum_to(mats, N):
+                        # bnum + snum = N needs all three operators, so it joins the last check
+                        yield f"bnum+snum != N*I at nu={nu} N={N} tau={tau}"
+                    else:
+                        yield None
+
+    return _run("transform", checks())
 
 
 def suite_dimensions(nu_max: int, n_max: int) -> SuiteResult:
     """Both chains enumerate bases of equal size, per (nu, N) and per tau block."""
-    checked = 0
-    for nu in range(2, nu_max + 1):
-        for N in range(n_max + 1):
-            chain1 = enumerate_chain1(nu, N)
-            chain2 = enumerate_chain2(nu, N)
-            checked += 1
-            if len(chain1) != len(chain2):
-                return SuiteResult(
-                    "dims", False, checked, f"nu={nu} N={N}: {len(chain1)} vs {len(chain2)}"
-                )
-            blocks1: dict[int, int] = {}
-            blocks2: dict[int, int] = {}
-            for lab in chain1:
-                blocks1[lab.tau] = blocks1.get(lab.tau, 0) + 1
-            for lab in chain2:
-                blocks2[lab.tau] = blocks2.get(lab.tau, 0) + 1
-            if blocks1 != blocks2:
-                return SuiteResult("dims", False, checked, f"nu={nu} N={N}: tau blocks differ")
-            for tau in blocks1:
-                ns, sigmas = bracket_index_set(nu, N, tau)
-                if len(ns) != blocks1[tau] or len(sigmas) != blocks1[tau]:
-                    return SuiteResult(
-                        "dims", False, checked, f"nu={nu} N={N} tau={tau}: block size"
-                    )
-    return SuiteResult("dims", True, checked)
+
+    def failure(nu: int, N: int) -> str | None:
+        chain1 = enumerate_chain1(nu, N)
+        chain2 = enumerate_chain2(nu, N)
+        if len(chain1) != len(chain2):
+            return f"nu={nu} N={N}: {len(chain1)} vs {len(chain2)}"
+        blocks = Counter(lab.tau for lab in chain1)
+        if blocks != Counter(lab.tau for lab in chain2):
+            return f"nu={nu} N={N}: tau blocks differ"
+        for tau, size in blocks.items():
+            ns, sigmas = bracket_index_set(nu, N, tau)
+            if len(ns) != size or len(sigmas) != size:
+                return f"nu={nu} N={N} tau={tau}: block size"
+        return None
+
+    return _run(
+        "dims", (failure(nu, N) for nu in range(2, nu_max + 1) for N in range(n_max + 1))
+    )
 
 
-CLI_SUITES = ("orth", "poch", "sigmaN", "oracle", "gegenbauer", "su11", "barred", "transform")
+# Suite names as the command line exposes them, in their default order; 'orth'
+# includes the basis dimensions and 'oracle' the Casimir certification.
+CLI_SUITES = {
+    "orth": lambda nu_max, n_max: [
+        suite_orthogonality(nu_max, n_max),
+        suite_dimensions(nu_max, n_max),
+    ],
+    "poch": lambda nu_max, n_max: [suite_formula_equivalence(nu_max, n_max)],
+    "sigmaN": lambda nu_max, n_max: [suite_sigma_equals_n(nu_max, n_max)],
+    "oracle": lambda nu_max, n_max: [
+        suite_oracle_equivalence(nu_max, n_max),
+        suite_casimir(nu_max, n_max),
+    ],
+    "gegenbauer": lambda nu_max, n_max: [suite_gegenbauer(nu_max)],
+    "su11": lambda nu_max, n_max: [
+        suite_su11(
+            nus=tuple(nu for nu in (2, 3, 5) if nu <= max(nu_max, 2)),
+            cutoff=min(n_max, 6),
+        )
+    ],
+    "barred": lambda nu_max, n_max: [suite_barred_sign(nu_max, n_max)],
+    "transform": lambda nu_max, n_max: [suite_transform(nu_max, n_max)],
+}
 
 
 def run_cli_suite(name: str, nu_max: int, n_max: int) -> list[SuiteResult]:
-    """Suites as exposed by the command line; 'oracle' includes the Casimir certification."""
-    if name == "orth":
-        return [suite_orthogonality(nu_max, n_max), suite_dimensions(nu_max, n_max)]
-    if name == "poch":
-        return [suite_formula_equivalence(nu_max, n_max)]
-    if name == "sigmaN":
-        return [suite_sigma_equals_n(nu_max, n_max)]
-    if name == "oracle":
-        return [
-            suite_oracle_equivalence(nu_max, n_max),
-            suite_casimir(nu_max, n_max),
-        ]
-    if name == "gegenbauer":
-        return [suite_gegenbauer(nu_max)]
-    if name == "su11":
-        return [
-            suite_su11(
-                nus=tuple(nu for nu in (2, 3, 5) if nu <= max(nu_max, 2)),
-                cutoff=min(n_max, 6),
-            )
-        ]
-    if name == "barred":
-        return [suite_barred_sign(nu_max, n_max)]
-    if name == "transform":
-        return [suite_transform(nu_max, n_max)]
-    raise ValueError(f"unknown suite {name!r}; available: {', '.join(CLI_SUITES)}")
+    """Run the command-line suite `name`; an unknown name is a ValueError."""
+    if name not in CLI_SUITES:
+        raise ValueError(f"unknown suite {name!r}; available: {', '.join(CLI_SUITES)}")
+    return CLI_SUITES[name](nu_max, n_max)

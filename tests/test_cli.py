@@ -147,6 +147,24 @@ def test_verify_command_passes(capsys):
         assert f"{name}: PASS" in out
 
 
+def test_verify_default_output_is_pinned(capsys):
+    code, out, err = run(["verify"], capsys)
+    assert code == 0 and err == ""
+    assert out == (
+        "orth: PASS (154 checks)\n"
+        "dims: PASS (14 checks)\n"
+        "poch: PASS (286 checks)\n"
+        "sigmaN: PASS (134 checks)\n"
+        "oracle: PASS (572 checks)\n"
+        "casimir: PASS (200 checks)\n"
+        "gegenbauer: PASS (176 checks)\n"
+        "su11: PASS (2 checks)\n"
+        "barred: PASS (286 checks)\n"
+        "transform: PASS (462 checks)\n"
+        "PASS 100% (2286 checks, nu<= 3, N<= 6)\n"
+    )
+
+
 def test_verify_suite_subset(capsys):
     code, out, _ = run(
         ["verify", "--nu-max", "3", "--N-max", "4", "--suites", "orth,sigmaN"], capsys

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import struct
+import sys
 from fractions import Fraction
 
 import pytest
@@ -222,8 +224,12 @@ def test_sqrt_to_float_is_correctly_rounded():
         assert mid_lo**2 <= r <= mid_hi**2
 
 
+def _mantissa_even(x: float) -> bool:
+    return struct.unpack("<Q", struct.pack("<d", x))[0] & 1 == 0
+
+
 def _nearer_by_fraction_midpoint(a: float, b: float, q) -> float:
-    """Reference for exactnum._nearer_to_sqrt: compare q with the squared Fraction midpoint."""
+    """Reference rounding: compare q with the squared Fraction midpoint of a <= b."""
     if a == b:
         return a
     mid = (Fraction(a) + Fraction(b)) / 2
@@ -232,7 +238,17 @@ def _nearer_by_fraction_midpoint(a: float, b: float, q) -> float:
         return a
     if q > mid_sq:
         return b
-    return a if exactnum._mantissa_even(a) else b
+    return a if _mantissa_even(a) else b
+
+
+def _reference_pick(q, x: float) -> float:
+    """The neighbour of x (or x itself) that the Fraction-midpoint reference picks for sqrt(q)."""
+    lo = max(0.0, math.nextafter(x, -math.inf))
+    hi = math.nextafter(x, math.inf)
+    best = _nearer_by_fraction_midpoint(lo, x, q)
+    if hi != math.inf:
+        best = _nearer_by_fraction_midpoint(best, hi, q)
+    return best
 
 
 def test_integer_rounding_decision_matches_fraction_midpoint_on_ties():
@@ -243,31 +259,49 @@ def test_integer_rounding_decision_matches_fraction_midpoint_on_ties():
             mid_sq = ((Fraction(a) + Fraction(b)) / 2) ** 2
             for q in (mid_sq, mid_sq * (1 - Fraction(1, 10**40)), mid_sq * (1 + Fraction(1, 10**40))):
                 q = rational(q.numerator, q.denominator)
-                assert exactnum._nearer_to_sqrt(a, b, q) == _nearer_by_fraction_midpoint(a, b, q)
-            tie = exactnum._nearer_to_sqrt(a, b, rational(mid_sq.numerator, mid_sq.denominator))
-            assert exactnum._mantissa_even(tie)
+                x_q = sqrt_to_float(q)
+                assert x_q in (a, b)
+                assert x_q == _nearer_by_fraction_midpoint(a, b, q) == _reference_pick(q, x_q)
+            tie = sqrt_to_float(rational(mid_sq.numerator, mid_sq.denominator))
+            assert _mantissa_even(tie)
 
 
 def test_integer_rounding_decision_matches_fraction_midpoint_on_seeded_radicands():
+    # 10**+-640 reaches subnormal results and radicands on both sides of overflow
+    threshold_sq = (Fraction(sys.float_info.max) + Fraction(2) ** 970) ** 2
     rng = random.Random(2024)
+    overflowed = subnormal = 0
     for _ in range(2500):
         mantissa = rational(rng.randrange(1, 10**17), rng.randrange(1, 10**17))
-        q = mantissa * rational(10) ** rng.randint(-300, 300)
+        q = mantissa * rational(10) ** rng.randint(-640, 640)
         x = sqrt_to_float(q)
-        lo = math.nextafter(x, -math.inf)
-        hi = math.nextafter(x, math.inf)
-        for a, b in ((lo, x), (x, hi), (lo, hi)):
-            assert exactnum._nearer_to_sqrt(a, b, q) == _nearer_by_fraction_midpoint(a, b, q)
+        if x == math.inf:
+            assert q >= threshold_sq
+            overflowed += 1
+            continue
+        subnormal += x < sys.float_info.min
+        assert x == _reference_pick(q, x)
+    assert overflowed and subnormal
 
 
-def test_surd_render_and_json():
+def test_sqrt_to_float_at_the_overflow_threshold():
+    big = Fraction(sys.float_info.max)
+    assert sqrt_to_float(big**2) == sys.float_info.max
+    assert SurdValue(1, big**2).to_float() == sys.float_info.max
+    assert SurdValue(-1, big**2).to_float() == -sys.float_info.max
+    assert sqrt_to_float(4 * big**2) == math.inf
+    # the first double past max is 2**1024; its midpoint with max is the overflow threshold
+    threshold = big + Fraction(2) ** 970
+    assert sqrt_to_float(threshold**2 - 1) == sys.float_info.max
+    assert sqrt_to_float(threshold**2) == math.inf
+
+
+def test_surd_render():
     v = SurdValue(-1, rational(1, 3))
     assert v.render() == "-sqrt(1/3)"
-    d = v.to_json_dict()
-    assert d["sign"] == -1 and d["num"] == "1" and d["den"] == "3"
-    assert d["float"] == pytest.approx(-0.5773502691896257, abs=0)
+    assert v.to_float() == -0.5773502691896257
     assert SurdValue.zero().render() == "0"
-    assert SurdValue.one().to_json_dict() == {"sign": 1, "num": "1", "den": "1", "float": 1.0}
+    assert SurdValue.one().render() == "+sqrt(1)"
 
 
 def test_gaussian_rational_arithmetic():

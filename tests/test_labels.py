@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from chainbrackets.brackets import bracket
+from chainbrackets.cli import main
+from chainbrackets.fockoracle import build_chain1_state, build_chain2_state
 from chainbrackets.labels import (
     ChainILabel,
     ChainIILabel,
@@ -98,6 +101,37 @@ def test_label_validation_errors():
         ChainIILabel(2, 4, 2, 3)  # |tau| > sigma
     ChainILabel(2, 4, 2, -2)
     ChainIILabel(2, 4, 2, -2)
+
+
+# (nu, N, n, sigma, tau, bad chain, text): each label breaks one rule, checked in order
+BAD_LABELS = [
+    (3, -1, 0, 0, 0, 1, "N=-1 must be nonnegative"),
+    (3, 2, 2, 2, -2, 1, "negative tau=-2 only exists for nu=2"),
+    (3, 2, 3, 0, 0, 1, "n=3 violates 0 <= n <= N=2"),
+    (2, 2, 0, 2, 2, 1, "n=0 violates n >= |tau|=2 (U(nu) > SO(nu) branching)"),
+    (2, 2, 1, 0, 0, 1, "n - tau must be even, got n=1, tau=0 (U(nu) > SO(nu) branching)"),
+    (3, 2, 2, 4, 0, 2, "sigma=4 violates 0 <= sigma <= N=2"),
+    (3, 3, 1, 2, 1, 2, "N - sigma must be even, got N=3, sigma=2 (U(nu+1) > SO(nu+1) branching)"),
+    (2, 3, 3, 1, -3, 2, "sigma=1 violates sigma >= |tau|=3 (SO(nu+1) > SO(nu) branching)"),
+]
+
+
+@pytest.mark.parametrize("nu, N, n, sigma, tau, chain, text", BAD_LABELS)
+def test_one_label_error_text_everywhere(nu, N, n, sigma, tau, chain, text, capsys):
+    with pytest.raises(LabelError) as from_bracket:
+        bracket(nu, N, n, sigma, tau)
+    if chain == 1:
+        label, build, third = ChainILabel, build_chain1_state, n
+    else:
+        label, build, third = ChainIILabel, build_chain2_state, sigma
+    with pytest.raises(LabelError) as from_label:
+        label(nu, N, third, tau)
+    with pytest.raises(LabelError) as from_oracle:
+        build(nu, N, third, tau)
+    assert str(from_bracket.value) == str(from_label.value) == str(from_oracle.value) == text
+    argv = ["bracket", "--nu", str(nu), "--N", str(N), "--n", str(n), "--sigma", str(sigma)]
+    assert main(argv + ["--tau", str(tau)]) == 1
+    assert capsys.readouterr().err == f"error: {text}\n"
 
 
 def test_quasispin_examples():
