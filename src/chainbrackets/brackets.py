@@ -30,7 +30,7 @@ from .exactnum import (
     rational,
     signed_half_power,
 )
-from .labels import ChainIILabel, ChainILabel, LabelError, bracket_index_set, check_dimension
+from .labels import LabelError, bracket_index_set, check_chain1, check_chain2, check_dimension
 
 __all__ = [
     "Convention",
@@ -125,8 +125,8 @@ def coeff_F(nu: int, sigma: int, tau: int, k: int) -> SurdValue:
 
 def _validate_bracket_labels(nu: int, N: int, n: int, sigma: int, tau: int) -> int:
     """Admissibility of (n, tau) in chain I and (sigma, tau) in chain II; returns |tau|."""
-    ChainILabel(nu, N, n, tau)
-    ChainIILabel(nu, N, sigma, tau)
+    check_chain1(nu, N, n, tau)
+    check_chain2(nu, N, sigma, tau)
     return abs(tau)
 
 

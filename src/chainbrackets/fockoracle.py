@@ -25,7 +25,7 @@ from functools import lru_cache, wraps
 
 from .brackets import Convention, as_convention
 from .exactnum import GaussianRational, rational
-from .labels import ChainILabel, ChainIILabel, LabelError, check_dimension
+from .labels import LabelError, check_chain1, check_chain2, check_dimension
 
 __all__ = [
     "KernelError",
@@ -225,11 +225,12 @@ class BosonOperator:
 
     Each term is (coeff, cre, ann) with cre/ann sparse tuples of
     (mode, power) pairs; the term acts as coeff * prod b_dag^cre * prod b^ann.
-    Products of operators are evaluated by composing `apply`, never
-    symbolically.  On construction the coefficients are brought over one
-    common denominator `den`: `int_terms` holds, per nonzero term, the
-    Gaussian integer coeff * den, the annihilated (mode, power) pairs and the
-    net (mode, shift) of occupation numbers.
+    Products of operators are evaluated by composing their actions (`apply`
+    on states, `_product_on` on one monomial), never symbolically.  On
+    construction the coefficients are brought over one common denominator
+    `den`: `int_terms` holds, per nonzero term, the Gaussian integer
+    coeff * den, the annihilated (mode, power) pairs and the net
+    (mode, shift) of occupation numbers.
     """
 
     __slots__ = ("terms", "den", "int_terms")
@@ -291,6 +292,46 @@ def apply(op: BosonOperator, psi: FockState) -> FockState:
             out[occ] = (vr, vi) if prev is None else (prev[0] + vr, prev[1] + vi)
     coeffs = {occ: c for occ, c in out.items() if c[0] or c[1]}
     return FockState._of(coeffs, psi.scale if op.den == 1 else psi.scale / op.den)
+
+
+def _product_on(a: BosonOperator, b: BosonOperator, occ: tuple, sign: int, out: dict) -> None:
+    """Add sign * (a b)|occ> into out, with the scale 1/(a.den b.den) left out.
+
+    Composes the integer terms of b, then a, on the one monomial occ; no
+    intermediate state is built.  out maps occupation tuples to Gaussian
+    integers (re, im) and may be left holding zeros.
+    """
+    get = out.get
+    perm = math.perm
+    for br, bi, ann, moves in b.int_terms:
+        factor = sign
+        for mode, power in ann:
+            factor *= perm(occ[mode], power)
+        if not factor:
+            continue
+        mid = occ
+        if moves:
+            new = list(occ)
+            for mode, d in moves:
+                new[mode] += d
+            mid = tuple(new)
+        vr, vi = br * factor, bi * factor
+        for ar, ai, ann_a, moves_a in a.int_terms:
+            factor = 1
+            for mode, power in ann_a:
+                factor *= perm(mid[mode], power)
+            if not factor:
+                continue
+            key = mid
+            if moves_a:
+                new = list(mid)
+                for mode, d in moves_a:
+                    new[mode] += d
+                key = tuple(new)
+            re = (ar * vr - ai * vi) * factor
+            im = (ar * vi + ai * vr) * factor
+            prev = get(key)
+            out[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
 
 
 def inner(psi: FockState, phi: FockState) -> GaussianRational:
@@ -366,6 +407,7 @@ def _i() -> GaussianRational:
     return GaussianRational(rational(0), rational(1))
 
 
+@lru_cache(maxsize=None)
 def creation_power(mode: int, power: int) -> BosonOperator:
     return BosonOperator.single(_one(), cre=((mode, power),))
 
@@ -546,7 +588,7 @@ def _cached_on(label):
 
 
 def _chain1_label(nu: int, N: int, n: int, tau: int) -> tuple:
-    ChainILabel(nu, N, n, tau)
+    check_chain1(nu, N, n, tau)
     return nu, N, n, abs(tau)
 
 
@@ -683,7 +725,7 @@ def _chain2_intrinsic(nu: int, sigma: int, t: int, barred: bool) -> FockState:
 def _chain2_label(
     nu: int, N: int, sigma: int, tau: int, convention: Convention = Convention.STANDARD
 ) -> tuple:
-    ChainIILabel(nu, N, sigma, tau)
+    check_chain2(nu, N, sigma, tau)
     return nu, N, sigma, abs(tau), as_convention(convention)
 
 
@@ -746,18 +788,80 @@ def _casimir_generators(nu: int, group: CasimirGroup, barred: bool) -> tuple[Bos
     return tuple(gens)
 
 
+@lru_cache(maxsize=None)
+def _monomial_index(nu: int) -> tuple[dict, list]:
+    """(ids, occs): occupation tuples over nu+1 modes, numbered as the Casimir rows meet them.
+
+    occs[ids[occ]] is occ.  The rows of every group and convention at nu
+    share the numbering, so casimir_apply sums them on int keys.
+    """
+    return {}, []
+
+
+@lru_cache(maxsize=None)
+def _casimir_rows(nu: int, group: CasimirGroup, barred: bool) -> tuple[tuple, dict]:
+    """Memo of the squares that `group` adds to the chain, monomial by monomial.
+
+    Returns (gens, rows).  gens are the rotations for SO(nu) and the mixings
+    d_j for SO(nu+1), whose Casimir is then C_SO(nu) + sum_j d_j**2.
+    rows[occ] is the flat tuple (id_1, re_1, im_1, id_2, ...) of the nonzero
+    Gaussian-integer coefficients of sum_g g**2 |occ>, each output monomial
+    given by its number in _monomial_index(nu); casimir_apply fills it.
+    """
+    gens = _casimir_generators(nu, group, barred)
+    if group is CasimirGroup.SO_NU_PLUS_ONE:
+        gens = gens[len(_casimir_generators(nu, CasimirGroup.SO_NU, False)) :]
+    if any(g.den != 1 for g in gens):
+        raise KernelError("a Casimir generator has non-integer coefficients")
+    return gens, {}
+
+
 def casimir_apply(
     nu: int,
     psi: FockState,
     group: CasimirGroup,
     convention: Convention = Convention.STANDARD,
 ) -> FockState:
-    """Quadratic Casimir (sum of squared generators) applied exactly to psi."""
+    """Quadratic Casimir (sum of squared generators) applied exactly to psi.
+
+    Each generator's square is composed on one monomial at a time from the
+    integer terms, and the sum per monomial is memoized; C psi is then one
+    pass over psi's monomials per table.  SO(nu) does not depend on the
+    convention, so its table serves both groups and both conventions.
+    """
     barred = as_convention(convention) is Convention.BARRED
-    out = FockState._of({}, _ONE)
-    for g in _casimir_generators(nu, group, barred):
-        out = out.plus(apply(g, apply(g, psi)))
-    return out
+    tables = [_casimir_rows(nu, CasimirGroup.SO_NU, False)]
+    if group is CasimirGroup.SO_NU_PLUS_ONE:
+        tables.append(_casimir_rows(nu, group, barred))
+    ids, occs = _monomial_index(nu)
+    out: dict = {}
+    get = out.get
+    for gens, rows in tables:
+        for occ, (ar, ai) in psi.coeffs.items():
+            row = rows.get(occ)
+            if row is None:
+                acc: dict = {}
+                for g in gens:
+                    _product_on(g, g, occ, 1, acc)
+                flat = []
+                for key, (re, im) in acc.items():
+                    if re or im:
+                        i = ids.get(key)
+                        if i is None:
+                            i = ids[key] = len(occs)
+                            occs.append(key)
+                        flat += (i, re, im)
+                row = rows[occ] = tuple(flat)
+            it = iter(row)
+            for i, cr, ci in zip(it, it, it):
+                if ci:
+                    vr, vi = ar * cr - ai * ci, ar * ci + ai * cr
+                else:
+                    vr, vi = ar * cr, ai * cr
+                prev = get(i)
+                out[i] = (vr, vi) if prev is None else (prev[0] + vr, prev[1] + vi)
+    coeffs = {occs[i]: c for i, c in out.items() if c[0] or c[1]}
+    return FockState._of(coeffs, psi.scale)
 
 
 def casimir_check(
@@ -815,24 +919,28 @@ def su11_commutator_check(nu: int, cutoff: int = 6) -> bool:
     pair_b = pair_creation_b(nu)
     pair_full = pair_creation_full(nu)
 
-    def comm(a: BosonOperator, b: BosonOperator, m: FockState) -> FockState:
-        return apply(a, apply(b, m)).minus(apply(b, apply(a, m)))
+    def comm(a: BosonOperator, b: BosonOperator, occ: tuple) -> FockState:
+        out: dict = {}
+        _product_on(a, b, occ, 1, out)
+        _product_on(b, a, occ, -1, out)
+        coeffs = {key: c for key, c in out.items() if c[0] or c[1]}
+        return FockState._of(coeffs, rational(1, a.den * b.den))
 
     for occ in _monomials(nu, cutoff):
         m = FockState._of({occ: (1, 0)}, _ONE)
-        if comm(qp, qm, m) != apply(q0, m).times(-2):
+        if comm(qp, qm, occ) != apply(q0, m).times(-2):
             return False
-        if comm(q0, qp, m) != apply(qp, m):
+        if comm(q0, qp, occ) != apply(qp, m):
             return False
-        if comm(q0, qm, m) != apply(qm, m).times(-1):
+        if comm(q0, qm, occ) != apply(qm, m).times(-1):
             return False
         for g in rot:
-            if not comm(pair_b, g, m).is_zero:
+            if not comm(pair_b, g, occ).is_zero:
                 return False
-            if not comm(pair_full, g, m).is_zero:
+            if not comm(pair_full, g, occ).is_zero:
                 return False
         for g in mix:
-            if not comm(pair_full, g, m).is_zero:
+            if not comm(pair_full, g, occ).is_zero:
                 return False
     return True
 
@@ -851,6 +959,9 @@ _CACHED = (
     build_chain2_state,
     _chain2_intrinsic,
     _casimir_generators,
+    _casimir_rows,
+    _monomial_index,
+    creation_power,
     pair_creation_b,
     pair_annihilation_b,
     pair_creation_full,

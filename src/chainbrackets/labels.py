@@ -20,6 +20,8 @@ __all__ = [
     "ChainIILabel",
     "QuasiSpinLabel",
     "check_dimension",
+    "check_chain1",
+    "check_chain2",
     "enumerate_chain1",
     "enumerate_chain2",
     "bracket_index_set",
@@ -49,6 +51,37 @@ def _check_shell(nu: int, N: int, tau: int) -> None:
         raise LabelError(f"negative tau={tau} only exists for nu=2")
 
 
+def check_chain1(nu: int, N: int, n: int, tau: int) -> None:
+    """Raise LabelError unless (N, n, tau) is an admissible oscillator-chain label."""
+    _check_shell(nu, N, tau)
+    t = abs(tau)
+    if not 0 <= n <= N:
+        raise LabelError(f"n={n} violates 0 <= n <= N={N}")
+    if n < t:
+        raise LabelError(f"n={n} violates n >= |tau|={t} (U(nu) > SO(nu) branching)")
+    if (n - t) % 2:
+        raise LabelError(
+            f"n - tau must be even, got n={n}, tau={tau} (U(nu) > SO(nu) branching)"
+        )
+
+
+def check_chain2(nu: int, N: int, sigma: int, tau: int) -> None:
+    """Raise LabelError unless (N, sigma, tau) is an admissible deformed-chain label."""
+    _check_shell(nu, N, tau)
+    t = abs(tau)
+    if not 0 <= sigma <= N:
+        raise LabelError(f"sigma={sigma} violates 0 <= sigma <= N={N}")
+    if (N - sigma) % 2:
+        raise LabelError(
+            f"N - sigma must be even, got N={N}, sigma={sigma} "
+            "(U(nu+1) > SO(nu+1) branching)"
+        )
+    if sigma < t:
+        raise LabelError(
+            f"sigma={sigma} violates sigma >= |tau|={t} (SO(nu+1) > SO(nu) branching)"
+        )
+
+
 @dataclass(frozen=True, order=True)
 class ChainILabel:
     """Validated (N, n, tau) triple of the oscillator chain."""
@@ -59,16 +92,7 @@ class ChainILabel:
     tau: int
 
     def __post_init__(self):
-        _check_shell(self.nu, self.N, self.tau)
-        n, tau, t = self.n, self.tau, abs(self.tau)
-        if not 0 <= n <= self.N:
-            raise LabelError(f"n={n} violates 0 <= n <= N={self.N}")
-        if n < t:
-            raise LabelError(f"n={n} violates n >= |tau|={t} (U(nu) > SO(nu) branching)")
-        if (n - t) % 2:
-            raise LabelError(
-                f"n - tau must be even, got n={n}, tau={tau} (U(nu) > SO(nu) branching)"
-            )
+        check_chain1(self.nu, self.N, self.n, self.tau)
 
 
 @dataclass(frozen=True, order=True)
@@ -81,19 +105,7 @@ class ChainIILabel:
     tau: int
 
     def __post_init__(self):
-        _check_shell(self.nu, self.N, self.tau)
-        N, sigma, t = self.N, self.sigma, abs(self.tau)
-        if not 0 <= sigma <= N:
-            raise LabelError(f"sigma={sigma} violates 0 <= sigma <= N={N}")
-        if (N - sigma) % 2:
-            raise LabelError(
-                f"N - sigma must be even, got N={N}, sigma={sigma} "
-                "(U(nu+1) > SO(nu+1) branching)"
-            )
-        if sigma < t:
-            raise LabelError(
-                f"sigma={sigma} violates sigma >= |tau|={t} (SO(nu+1) > SO(nu) branching)"
-            )
+        check_chain2(self.nu, self.N, self.sigma, self.tau)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .brackets import Convention, as_convention, table
 from .brackets import _cleared  # the same denominator clearing as the orthogonality check
@@ -206,6 +207,12 @@ def operator_core(sph: SphericalMatrix, row_sq) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _block_table(nu: int, N: int, t: int, convention: Convention):
+    """The bracket table at |tau| = t, built once per block for all of its operators."""
+    return table(nu, N, t, convention)
+
+
 def deformed_matrix(
     nu: int,
     N: int,
@@ -224,7 +231,7 @@ def deformed_matrix(
     op = as_operator(op)
     convention = as_convention(convention)
     sph = spherical_matrix(nu, N, tau, op)
-    tab = table(nu, N, tau, convention)
+    tab = _block_table(nu, N, abs(tau), convention)
     w = operator_core(sph, tab.row_sq)
     nonzero = [(a, b, x) for a, row in enumerate(w) for b, x in enumerate(row) if x]
     columns = []  # per column i: x_i, W x_i, and v_i**2 / den_i**2 as (num, den)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+
+from chainbrackets import fockoracle
 
 from chainbrackets.brackets import Convention, bracket
 from chainbrackets.exactnum import GaussianRational, rational
@@ -11,14 +15,21 @@ from chainbrackets.fockoracle import (
     CasimirGroup,
     FockState,
     KernelError,
+    _casimir_generators,
+    _casimir_rows,
     _chain2_intrinsic,
     _kernel_ints,
+    _monomial_index,
+    _product_on,
     apply,
     b_number_operator,
     build_chain1_state,
     build_chain2_state,
+    casimir_apply,
     casimir_check,
+    clear_caches,
     creation_power,
+    d_generator,
     inner,
     is_exact_eigenstate,
     number_operator,
@@ -26,7 +37,13 @@ from chainbrackets.fockoracle import (
     pair_annihilation_b,
     pair_annihilation_full,
     pair_creation_b,
+    pair_creation_full,
+    pair_exchange_operator,
+    quasispin_minus,
+    quasispin_plus,
+    quasispin_zero,
     seed_state,
+    so_generator,
     state_to_json,
     su11_commutator_check,
 )
@@ -383,3 +400,160 @@ def test_state_to_json():
         {"occ": [0, 0, 1], "re": "0", "im": "1"},
         {"occ": [0, 1, 0], "re": "1", "im": "0"},
     ]
+
+
+def _casimir_by_definition(nu, psi, group, convention):
+    """Sum over the generators g of g(g psi), one FockState per operator step."""
+    out = FockState({})
+    for g in _casimir_generators(nu, group, convention is Convention.BARRED):
+        out = out.plus(apply(g, apply(g, psi)))
+    return out
+
+
+def _casimir_cases(nu):
+    """Eigenstates, seeds, non-eigenstates and random superpositions at dimension nu."""
+    cases = [seed_state(nu, tau) for tau in range(4)]
+    cases += [
+        build_chain2_state(nu, N, sigma, tau, conv).state
+        for N in (3, 4)
+        for sigma in range(N % 2, N + 1, 2)
+        for tau in sorted({0, min(sigma, 1), sigma})
+        for conv in Convention
+    ]
+    # chain-1 states with scalar bosons mix several sigma: not SO(nu+1) eigenstates
+    cases += [
+        build_chain1_state(nu, N, n, tau).state
+        for N, n, tau in ((2, 0, 0), (4, 2, 0), (4, 2, 2), (3, 1, 1))
+    ]
+    rng = random.Random(nu)
+    for _ in range(3):
+        coeffs = {}
+        while len(coeffs) < 8:
+            occ = tuple(rng.randrange(3) for _ in range(nu + 1))
+            coeffs[occ] = (rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(-9, 9))
+        cases.append(FockState._of(coeffs, rational(rng.randint(2, 7), rng.randint(8, 13))))
+    return cases
+
+
+@pytest.mark.parametrize("nu", [2, 3, 4, 5])
+def test_casimir_apply_equals_the_sum_of_squared_generators(nu):
+    cases = _casimir_cases(nu)
+    assert len({sum(occ) for occ in cases[-1].coeffs}) > 1 and cases[-1].scale != 1
+    for psi in cases:
+        for group in CasimirGroup:
+            for conv in Convention:
+                expected = _casimir_by_definition(nu, psi, group, conv)
+                clear_caches()
+                assert casimir_apply(nu, psi, group, conv) == expected  # cold rows
+                assert casimir_apply(nu, psi, group, conv) == expected  # warm rows
+                assert casimir_apply(nu, psi, group, conv.value) == expected
+
+
+def test_casimir_rows_are_shared_and_cleared(cold_caches):
+    psi = build_chain2_state(3, 4, 2, 1, Convention.BARRED).state
+    casimir_apply(3, psi, CasimirGroup.SO_NU_PLUS_ONE, Convention.BARRED)
+    _, rotations = _casimir_rows(3, CasimirGroup.SO_NU, False)
+    _, mixings = _casimir_rows(3, CasimirGroup.SO_NU_PLUS_ONE, True)
+    assert set(rotations) == set(mixings) == set(psi.coeffs)
+    # SO(nu) has no convention: the barred check filled the rows the standard one reads
+    casimir_apply(3, psi, CasimirGroup.SO_NU, Convention.STANDARD)
+    assert _casimir_rows.cache_info().currsize == 2
+    ids, occs = _monomial_index(3)
+    assert set(occs) >= set(psi.coeffs) and [ids[occ] for occ in occs] == list(range(len(occs)))
+    clear_caches()
+    assert _casimir_rows.cache_info().currsize == 0
+    assert _monomial_index.cache_info().currsize == 0
+    assert creation_power.cache_info().currsize == 0
+    assert not _casimir_rows(3, CasimirGroup.SO_NU, False)[1]
+
+
+@pytest.fixture
+def cold_caches():
+    """Start cold, and drop on the way out whatever rows a patched generator left."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def test_casimir_rows_carry_complex_coefficients(monkeypatch, cold_caches):
+    # the square of a rotation plus a barred mixing has imaginary cross terms
+    g = so_generator(3, 1, 2) + d_generator(3, 1, barred=True)
+    psi = _casimir_cases(3)[-1]
+    expected = apply(g, apply(g, psi))
+    assert any(im for _, im in expected.coeffs.values())
+    monkeypatch.setattr(fockoracle, "_casimir_generators", lambda nu, group, barred: (g,))
+    assert casimir_apply(3, psi, CasimirGroup.SO_NU) == expected
+    assert casimir_apply(3, psi, CasimirGroup.SO_NU) == expected
+
+
+def test_casimir_rejects_a_generator_with_a_denominator(monkeypatch, cold_caches):
+    half = so_generator(3, 1, 2).scaled(gr(rational(1, 2)))
+    monkeypatch.setattr(fockoracle, "_casimir_generators", lambda nu, group, barred: (half,))
+    with pytest.raises(KernelError):
+        casimir_apply(3, seed_state(3, 1), CasimirGroup.SO_NU)
+
+
+def test_eigenstate_check_catches_wrong_eigenvalues_and_non_eigenstates():
+    nu = 3
+    st = build_chain2_state(nu, 4, 2, 1, Convention.BARRED).state
+    so_nu1, so_nu = CasimirGroup.SO_NU_PLUS_ONE, CasimirGroup.SO_NU
+    assert is_exact_eigenstate(nu, st, so_nu1, 2 * (2 + nu - 1), "barred")
+    assert not is_exact_eigenstate(nu, st, so_nu1, 2 * (2 + nu - 1) + 1, "barred")
+    assert not is_exact_eigenstate(nu, st, so_nu1, 2 * (2 + nu - 1))  # wrong convention
+    assert not is_exact_eigenstate(nu, st, so_nu, 0, "barred")
+    mixed = build_chain1_state(nu, 4, 2, 0).state
+    assert is_exact_eigenstate(nu, mixed, so_nu, 0)
+    for sigma in range(5):
+        assert not is_exact_eigenstate(nu, mixed, so_nu1, sigma * (sigma + nu - 1))
+
+
+def test_product_on_equals_composed_apply():
+    nu = 3
+    ops = [
+        quasispin_plus(nu),
+        quasispin_minus(nu),
+        quasispin_zero(nu),
+        so_generator(nu, 1, 3),
+        d_generator(nu, 2),
+        d_generator(nu, 2, barred=True),
+        pair_creation_full(nu, barred=True),
+        pair_exchange_operator(nu),
+    ]
+    for occ in ((0, 0, 0, 0), (2, 1, 0, 3), (1, 2, 2, 1), (4, 0, 1, 0)):
+        m = FockState._of({occ: (1, 0)}, rational(1))
+        for a in ops:
+            for b in ops:
+                out = {}
+                _product_on(a, b, occ, -1, out)
+                coeffs = {k: c for k, c in out.items() if c != (0, 0)}
+                got = FockState._of(coeffs, rational(-1, a.den * b.den))
+                assert got == apply(a, apply(b, m))
+
+
+def _wrong_quasispin_zero(nu):
+    """Q0 without its nu/4 shift: [Q+, Q-] = -2 Q0 no longer holds."""
+    return b_number_operator(nu).scaled(gr(rational(1, 2)))
+
+
+def _wrong_quasispin_plus(nu):
+    """Q+ without its factor 1/2."""
+    return pair_creation_b(nu)
+
+
+def _wrong_pair_creator(nu, barred=False):
+    """Full pair creator with the barred sign: commutes with rotations, not with the mixings."""
+    return pair_creation_full(nu, not barred)
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [
+        ("quasispin_zero", _wrong_quasispin_zero),
+        ("quasispin_plus", _wrong_quasispin_plus),
+        ("pair_creation_full", _wrong_pair_creator),
+    ],
+)
+def test_su11_check_catches_a_wrong_operator(monkeypatch, name, wrong):
+    assert su11_commutator_check(3, 2)
+    monkeypatch.setattr(fockoracle, name, wrong)
+    assert not su11_commutator_check(3, 2)

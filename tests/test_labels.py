@@ -13,6 +13,8 @@ from chainbrackets.labels import (
     LabelError,
     UnsupportedDimensionError,
     bracket_index_set,
+    check_chain1,
+    check_chain2,
     enumerate_chain1,
     enumerate_chain2,
     quasispin_labels,
@@ -121,14 +123,17 @@ def test_one_label_error_text_everywhere(nu, N, n, sigma, tau, chain, text, caps
     with pytest.raises(LabelError) as from_bracket:
         bracket(nu, N, n, sigma, tau)
     if chain == 1:
-        label, build, third = ChainILabel, build_chain1_state, n
+        label, check, build, third = ChainILabel, check_chain1, build_chain1_state, n
     else:
-        label, build, third = ChainIILabel, build_chain2_state, sigma
+        label, check, build, third = ChainIILabel, check_chain2, build_chain2_state, sigma
     with pytest.raises(LabelError) as from_label:
         label(nu, N, third, tau)
+    with pytest.raises(LabelError) as from_check:
+        check(nu, N, third, tau)
     with pytest.raises(LabelError) as from_oracle:
         build(nu, N, third, tau)
-    assert str(from_bracket.value) == str(from_label.value) == str(from_oracle.value) == text
+    assert str(from_bracket.value) == str(from_label.value) == text
+    assert str(from_check.value) == str(from_oracle.value) == text
     argv = ["bracket", "--nu", str(nu), "--N", str(N), "--n", str(n), "--sigma", str(sigma)]
     assert main(argv + ["--tau", str(tau)]) == 1
     assert capsys.readouterr().err == f"error: {text}\n"

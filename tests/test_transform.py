@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from chainbrackets import transform
 from chainbrackets.brackets import Convention, table
 from chainbrackets.exactnum import GaussianRational, SurdSumError, SurdValue, rational
 from chainbrackets.fockoracle import (
@@ -266,6 +267,24 @@ def test_negative_tau_delegates_to_magnitude():
         deformed_matrix(2, 4, -2, OperatorSpec.PAIRING).entries
         == deformed_matrix(2, 4, 2, OperatorSpec.PAIRING).entries
     )
+
+
+def test_bracket_table_is_built_once_per_block(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(transform, "table", counted)
+    transform._block_table.cache_clear()
+    for tau in (2, -2):
+        for op in OperatorSpec:
+            for conv in ("standard", Convention.STANDARD):
+                deformed_matrix(2, 6, tau, op, conv)
+    deformed_matrix(2, 6, 2, OperatorSpec.PAIRING, Convention.BARRED)
+    assert built == [(2, 6, 2, Convention.STANDARD), (2, 6, 2, Convention.BARRED)]
+    transform._block_table.cache_clear()
 
 
 def test_operator_spec_parsing():
