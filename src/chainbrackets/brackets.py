@@ -9,8 +9,10 @@ assumption.
 
 The factored route keeps its factors: bracket(n, sigma) = u_n v_sigma Q[n][sigma]
 with u_n = sqrt((N-n)!)/|B(n, tau)| and v_sigma = |A(N, sigma)| Fnorm(sigma, tau)
-positive surds and Q the signed rational k-sum.  A BracketTable stores u**2,
-v**2 and Q, so its orthogonality is an identity between rational matrices.
+positive surds and Q the signed rational k-sum.  A BracketTable stores u**2
+as ints, each column of Q rescaled to a primitive integer vector, and v**2
+times the square of that column's scale as rationals, so its orthogonality
+is an integer matrix identity with one rational weight vector.
 """
 
 from __future__ import annotations
@@ -143,23 +145,32 @@ def _block_core(
     ns: tuple[int, ...],
     sigmas: tuple[int, ...],
 ):
-    """Rational factors of the bracket block at |tau| = t, for the given rows and columns.
+    """Integer and rational factors of the bracket block at |tau| = t.
 
     Returns (row_sq, col_sq, core) with bracket(n_a, sigma_i) =
-    sqrt(row_sq[a] * col_sq[i]) * core[a][i].  row_sq[a] = (N-n)!/B(n)**2 and
-    col_sq[i] = A(sigma)**2 * Fnorm(sigma)**2 are positive; the signs of the
-    ladder normalizations A and B, and the barred sign, are folded into the
-    signed k-sum core[a][i] = +-sum_k F_k/Fnorm * C(k + (N-sigma)/2, (n-t)/2).
+    sqrt(row_sq[a] * col_sq[i]) * core[a][i] for the given rows and columns.
+    row_sq[a] = (N-n)!/B(n)**2 is a positive int (see transform.operator_core).
+    core[a][i] is the signed integer k-sum
+    den_i * sum_k F_k/Fnorm * C(k + (N-sigma)/2, (n-t)/2), den_i = 2**k_hi (sigma-t)!,
+    divided by the content g_i (gcd) of its column, so every nonzero column is
+    primitive.  The positive rational col_sq[i] = A(sigma)**2 Fnorm(sigma)**2
+    g_i**2 / den_i**2 carries the rest.  The signs of the ladder normalizations
+    A and B, and the barred sign, are folded into core.
     """
-    row_sq = tuple(factorial(N - n) / _coeff_B_sq(nu, n, t) for n in ns)
-    col_sq = tuple(_coeff_A_sq(nu, N, s) * _coeff_F_norm_sq(nu, s, t) for s in sigmas)
+    b_seed = double_factorial(2 * t + nu - 2)
+    # (2t+nu-2)!! divides (n+t+nu-2)!! because n - t is even
+    row_sq = tuple(
+        factorial(N - n) * double_factorial(n + t + nu - 2) * double_factorial(n - t) // b_seed
+        for n in ns
+    )
     barred = convention is Convention.BARRED
+    col_sq = []
     columns = []
     for sigma in sigmas:
         h = (N - sigma) // 2
         top = sigma - t
         k_hi = top // 2
-        # F_k/Fnorm times the common denominator 2**k_hi * (sigma-t)!: an integer,
+        # F_k/Fnorm times den = 2**k_hi * (sigma-t)!: an integer,
         # since (sigma-t)!/((sigma-t-2k)! k!) = C(sigma-t, 2k) (2k)!/k!.
         weights = [
             (-1) ** k
@@ -168,7 +179,6 @@ def _block_core(
             * (factorial(top) // (factorial(top - 2 * k) * factorial(k)))
             for k in range(k_hi + 1)
         ]
-        den = 2**k_hi * factorial(top)
         column = []
         for n in ns:
             m = (n - t) // 2
@@ -177,11 +187,21 @@ def _block_core(
                 weights[k] * math.comb(k + h, m) for k in range(max(0, m - h), k_hi + 1)
             )
             # A and B carry the signs (-1)**h and (-1)**m; the barred sign (-1)**m cancels B's
-            if (h if barred else h + m) % 2:
-                ksum = -ksum
-            column.append(rational(ksum, den))
-        columns.append(column)
-    return row_sq, col_sq, tuple(zip(*columns))
+            column.append(-ksum if (h if barred else h + m) % 2 else ksum)
+        g = math.gcd(*column) or 1  # a single-row block can have a zero column
+        columns.append([q // g for q in column])
+        # A**2 Fnorm**2 g**2 / den**2, using (2 sigma+nu-1)!!/(2 sigma+nu-3)!! = 2 sigma+nu-1
+        col_sq.append(
+            rational(
+                (2 * sigma + nu - 1) * b_seed * g * g,
+                double_factorial(N + sigma + nu - 1)
+                * double_factorial(N - sigma)
+                * factorial(sigma + t + nu - 2)
+                * 4**k_hi
+                * factorial(top),
+            )
+        )
+    return row_sq, tuple(col_sq), tuple(zip(*columns))
 
 
 def bracket(
@@ -203,9 +223,11 @@ def bracket(
     return _entry(u_sq, v_sq, q)
 
 
-def _entry(u_sq, v_sq, q) -> SurdValue:
-    """The bracket u v q = sign(q) sqrt(u**2 v**2 q**2) from its rational factors."""
-    return SurdValue((q > 0) - (q < 0), u_sq * v_sq * q * q)
+def _entry(u_sq: int, v_sq, q: int) -> SurdValue:
+    """The bracket u v q = sign(q) sqrt(u**2 v**2 q**2), reduced once."""
+    if not q:
+        return SurdValue.zero()
+    return SurdValue(1 if q > 0 else -1, rational(u_sq * v_sq.numerator * q * q, v_sq.denominator))
 
 
 def bracket_expanded(nu: int, N: int, n: int, sigma: int, tau: int) -> SurdValue:
@@ -297,9 +319,11 @@ class BracketTable:
     """Full bracket matrix for fixed (nu, N, tau): rows n ascending, columns sigma ascending.
 
     Stored factored: the entry in row a, column i is
-    sqrt(row_sq[a] * col_sq[i]) * core[a][i], with row_sq and col_sq positive
-    rationals and core the signed rational k-sums.  entries is derived from
-    these three, so the certified and the rendered numbers are the same.
+    sqrt(row_sq[a] * col_sq[i]) * core[a][i].  row_sq holds positive ints,
+    core the signed integer k-sums with every nonzero column primitive, and
+    col_sq positive rationals that carry each column's content and k-sum
+    denominator (see _block_core).  entries is derived from these three, so
+    the certified and the rendered numbers are the same.
     """
 
     nu: int
@@ -331,7 +355,8 @@ class BracketTable:
         """Exact orthogonality of rows and columns as rational matrix identities.
 
         With E = diag(u) Q diag(v), E^T E = 1 reads Q^T diag(u^2) Q = diag(v^-2)
-        and E E^T = 1 reads Q diag(v^2) Q^T = diag(u^-2).
+        and E E^T = 1 reads Q diag(v^2) Q^T = diag(u^-2).  Q is an integer
+        matrix, so only the weights v^2 need their denominators cleared.
         """
         columns = tuple(zip(*self.core))
         return _gram_is_inverse_diagonal(
@@ -339,31 +364,25 @@ class BracketTable:
         ) and _gram_is_inverse_diagonal(self.core, self.col_sq, self.row_sq)
 
 
-def _cleared(values) -> tuple[list[int], int]:
-    """Integers x_k and a denominator D with values[k] = x_k / D."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _gram_is_inverse_diagonal(vectors, weights, squares) -> bool:
     """Whether sum_k weights[k] x_i[k] x_j[k] = delta_ij / squares[i] for all i, j.
 
-    Denominators are cleared first, per vector and once for the weights, so
-    the d**3 products run on integers.
+    The weights' denominators are cleared once, so with integer vectors the
+    d**3 products run on integers.
     """
-    w_int, w_den = _cleared(weights)
-    cleared = [_cleared(vec) for vec in vectors]
-    for i, (x_i, den_i) in enumerate(cleared):
+    w_den = math.lcm(*(w.denominator for w in weights))
+    w_int = [w.numerator * (w_den // w.denominator) for w in weights]
+    for i, x_i in enumerate(vectors):
         weighted = [w * x for w, x in zip(w_int, x_i)]
-        for j in range(i, len(cleared)):
-            dot = sum(map(operator.mul, weighted, cleared[j][0]))
+        for j in range(i, len(vectors)):
+            dot = sum(map(operator.mul, weighted, vectors[j]))
             if i != j:
                 if dot:
                     return False
                 continue
-            # dot = w_den * den_i**2 / squares[i]
+            # dot = w_den / squares[i]
             square = squares[i]
-            if dot * square.numerator != w_den * den_i * den_i * square.denominator:
+            if dot * square.numerator != w_den * square.denominator:
                 return False
     return True
 

@@ -50,11 +50,7 @@ def double_factorial(m: int) -> int:
     """m!! with the conventions (-1)!! = 0!! = 1; m < -1 is rejected loudly."""
     if m < -1:
         raise DomainError(f"double factorial undefined for {m} < -1")
-    result = 1
-    while m > 1:
-        result *= m
-        m -= 2
-    return result
+    return math.prod(range(m, 1, -2))
 
 
 def binomial(top: int, bottom: int) -> int:

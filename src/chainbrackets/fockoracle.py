@@ -175,28 +175,6 @@ class FockState:
             return FockState._of({}, _ONE)
         return FockState._of(self.coeffs, self.scale * scalar)
 
-    def plus(self, other: "FockState") -> "FockState":
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return other
-        ma, mb, scale = _multipliers(self.scale, other.scale)
-        out = dict(self.coeffs) if ma == 1 else _times_gauss(self.coeffs, ma, 0)
-        for occ, (re, im) in other.coeffs.items():
-            if mb != 1:
-                re, im = re * mb, im * mb
-            prev = out.get(occ)
-            if prev is None:
-                out[occ] = (re, im)
-            elif prev[0] + re or prev[1] + im:
-                out[occ] = (prev[0] + re, prev[1] + im)
-            else:
-                del out[occ]
-        return FockState._of(out, scale)
-
-    def minus(self, other: "FockState") -> "FockState":
-        return self.plus(other.times(-1))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FockState):
             return NotImplemented

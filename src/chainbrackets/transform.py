@@ -9,8 +9,8 @@ number-conserving scalar operators are supported, so the transform is
 tau-diagonal.
 
 Both routes run on integers and stay independent of each other.  The
-congruence clears the denominators of Q once per column, so Q^T W Q is an
-integer product over the nonzero entries of W.  The oracle
+table's Q is an integer matrix (each column's scale lives in its v**2), so
+Q^T W Q is an integer product over the nonzero entries of W.  The oracle
 route takes the integer block <state_i|O|state_j> from
 fockoracle.real_inner_block, using only the constructed states.  Either way
 the scales, norms and v factors enter once per entry, as one rational
@@ -26,7 +26,6 @@ from enum import Enum
 from functools import lru_cache
 
 from .brackets import Convention, as_convention, table
-from .brackets import _cleared  # the same denominator clearing as the orthogonality check
 from .exactnum import SurdSumError, SurdValue, rational
 from .fockoracle import (
     BosonOperator,
@@ -222,9 +221,8 @@ def deformed_matrix(
 ) -> DeformedMatrix:
     """Two-step transform: congruence of the spherical matrix by the bracket table.
 
-    Entry (i, j) is v_i v_j (Q^T W Q)[i][j].  W is an integer matrix (see
-    operator_core) and the denominators of Q are cleared once per column, so
-    (Q^T W Q)[i][j] = T[i][j] / (den_i den_j) with T an integer product that
+    Entry (i, j) is v_i v_j (Q^T W Q)[i][j].  W (see operator_core) and the
+    table's core Q are integer matrices, so Q^T W Q is an integer product that
     visits only the nonzero entries of W; each entry's radicand is then one
     rational.
     """
@@ -234,13 +232,12 @@ def deformed_matrix(
     tab = _block_table(nu, N, abs(tau), convention)
     w = operator_core(sph, tab.row_sq)
     nonzero = [(a, b, x) for a, row in enumerate(w) for b, x in enumerate(row) if x]
-    columns = []  # per column i: x_i, W x_i, and v_i**2 / den_i**2 as (num, den)
-    for column, v_sq in zip(zip(*tab.core), tab.col_sq):
-        x, den = _cleared(column)
+    columns = []  # per column i: x_i, W x_i, and v_i**2 as (num, den)
+    for x, v_sq in zip(zip(*tab.core), tab.col_sq):
         wx = [0] * len(x)
         for a, b, w_ab in nonzero:
             wx[a] += w_ab * x[b]
-        columns.append((x, wx, v_sq.numerator, v_sq.denominator * den * den))
+        columns.append((x, wx, v_sq.numerator, v_sq.denominator))
     zero = SurdValue.zero()
     entries = []
     for x_i, _, num_i, den_i in columns:

@@ -7,6 +7,8 @@ Fock-space construction in chainbrackets.fockoracle before being frozen here.
 from __future__ import annotations
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +26,7 @@ from chainbrackets.brackets import (
     verify_F_via_gegenbauer,
 )
 from chainbrackets.exactnum import DomainError, SurdSumError, SurdValue, rational
-from chainbrackets.labels import LabelError
+from chainbrackets.labels import LabelError, bracket_index_set
 
 
 def sqrt(num, den=1):
@@ -149,15 +151,102 @@ def test_table_orthogonality_over_range():
                     assert table(nu, N, tau, conv).is_orthogonal()
 
 
-def test_table_entries_equal_single_brackets():
-    for nu in range(2, 6):
-        for N in range(11):
+def _blocks(nu_max: int = 8, n_max: int = 14):
+    """Every (nu, N, tau, convention) up to the bounds, tau signed at nu = 2."""
+    for nu in range(2, nu_max + 1):
+        for N in range(n_max + 1):
             for tau in range(-N if nu == 2 else 0, N + 1):
                 for conv in Convention:
-                    tab = table(nu, N, tau, conv)
-                    for i, n in enumerate(tab.ns):
-                        for j, sigma in enumerate(tab.sigmas):
-                            assert tab.entries[i][j] == bracket(nu, N, n, sigma, tau, conv)
+                    yield nu, N, tau, conv
+
+
+def test_table_entries_equal_single_brackets():
+    for nu, N, tau, conv in _blocks():
+        tab = table(nu, N, tau, conv)
+        for i, n in enumerate(tab.ns):
+            for j, sigma in enumerate(tab.sigmas):
+                assert tab.entries[i][j] == bracket(nu, N, n, sigma, tau, conv)
+
+
+def test_table_factors_are_ints_with_primitive_columns():
+    for block in _blocks():
+        tab = table(*block)
+        assert all(type(u_sq) is int and u_sq > 0 for u_sq in tab.row_sq), block
+        assert all(type(q) is int for row in tab.core for q in row), block
+        assert all(math.gcd(*column) == 1 for column in zip(*tab.core)), block
+        assert all(type(v_sq) is Fraction and v_sq > 0 for v_sq in tab.col_sq), block
+
+
+def _df(m):
+    return math.prod(range(m, 0, -2))
+
+
+def _old_factors(nu, N, tau, conv):
+    """(N-n)!/B**2, A**2 Fnorm**2 and the signed k-sum as Fractions, from the closed form."""
+    t = abs(tau)
+    ns, sigmas = bracket_index_set(nu, N, tau)
+    u_sq = [
+        Fraction(math.factorial(N - n) * _df(n + t + nu - 2) * _df(n - t), _df(2 * t + nu - 2))
+        for n in ns
+    ]
+    v_sq = [
+        Fraction(_df(2 * s + nu - 1), _df(N + s + nu - 1) * _df(N - s))
+        * Fraction(
+            math.factorial(s - t) * _df(2 * t + nu - 2),
+            _df(2 * s + nu - 3) * math.factorial(s + t + nu - 2),
+        )
+        for s in sigmas
+    ]
+    q = []
+    for n in ns:
+        m = (n - t) // 2
+        row = []
+        for s in sigmas:
+            h = (N - s) // 2
+            ksum = sum(
+                Fraction(
+                    (-1) ** k * _df(2 * s + nu - 3 - 2 * k) * math.comb(k + h, m),
+                    2**k * math.factorial(s - t - 2 * k) * math.factorial(k),
+                )
+                for k in range((s - t) // 2 + 1)
+            )
+            sign = (-1) ** h if conv is Convention.BARRED else (-1) ** (h + m)
+            row.append(sign * ksum)
+        q.append(row)
+    return u_sq, v_sq, q
+
+
+def test_table_factors_multiply_out_to_the_old_fraction_factors():
+    for block in _blocks(8, 12):
+        tab = table(*block)
+        u_sq, v_sq, q = _old_factors(*block)
+        assert list(tab.row_sq) == u_sq, block
+        for a, row in enumerate(q):
+            for i, q_ai in enumerate(row):
+                core = tab.core[a][i]
+                assert (core > 0) - (core < 0) == (q_ai > 0) - (q_ai < 0), block
+                assert tab.col_sq[i] * core * core == v_sq[i] * q_ai * q_ai, block
+                entry = tab.entries[a][i]
+                assert entry.radicand == u_sq[a] * v_sq[i] * q_ai * q_ai, block
+
+
+def _rescaled(tab, c, i):
+    """The same brackets for c > 0: core column i times c, col_sq[i] divided by c**2."""
+    core = tuple(row[:i] + (row[i] * c,) + row[i + 1 :] for row in tab.core)
+    col_sq = tab.col_sq[:i] + (tab.col_sq[i] / (c * c),) + tab.col_sq[i + 1 :]
+    return dataclasses.replace(tab, core=core, col_sq=col_sq)
+
+
+def test_orthogonality_is_blind_to_column_rescaling():
+    for nu, N, tau in ((2, 5, -1), (3, 6, 2), (4, 9, 1), (6, 12, 0)):
+        for conv in Convention:
+            tab = table(nu, N, tau, conv)
+            for c, i in ((3, 0), (2, len(tab.sigmas) - 1), (12, len(tab.sigmas) // 2)):
+                scaled = _rescaled(tab, c, i)
+                assert scaled.core != tab.core
+                assert scaled.entries == tab.entries and scaled.is_orthogonal()
+                for expected, bad in _perturbed(scaled):
+                    assert bad.is_orthogonal() is expected
 
 
 def _surd_sum_orthogonal(entries) -> bool:

@@ -37,6 +37,18 @@ def test_double_factorial_rejects_below_minus_one():
         double_factorial(-3)
 
 
+def test_double_factorial_matches_a_loop_reference():
+    for m in range(-1, 201):
+        expected, k = 1, m
+        while k > 1:
+            expected *= k
+            k -= 2
+        assert double_factorial(m) == expected, m
+    for m in (-2, -5):
+        with pytest.raises(DomainError, match=rf"^double factorial undefined for {m} < -1$"):
+            double_factorial(m)
+
+
 def test_double_factorial_recurrence_and_identities():
     for m in range(1, 40):
         assert double_factorial(m) == m * double_factorial(m - 2)

@@ -287,6 +287,25 @@ def test_bracket_table_is_built_once_per_block(monkeypatch):
     transform._block_table.cache_clear()
 
 
+def test_two_step_takes_each_column_scale_from_col_sq(monkeypatch):
+    def rescaled(*args):
+        # column i of the core times i + 2, its v**2 divided by (i + 2)**2: the same brackets
+        tab = table(*args)
+        core = tuple(tuple(q * (i + 2) for i, q in enumerate(row)) for row in tab.core)
+        col_sq = tuple(v_sq / (i + 2) ** 2 for i, v_sq in enumerate(tab.col_sq))
+        return dataclasses.replace(tab, core=core, col_sq=col_sq)
+
+    blocks = list(_blocks(4, 8))
+    expected = [deformed_matrix(*block).entries for block in blocks]
+    monkeypatch.setattr(transform, "table", rescaled)
+    transform._block_table.cache_clear()
+    try:
+        for block, entries in zip(blocks, expected):
+            assert deformed_matrix(*block).entries == entries, block
+    finally:
+        transform._block_table.cache_clear()
+
+
 def test_operator_spec_parsing():
     assert OperatorSpec("bnum") is OperatorSpec.B_NUMBER
     with pytest.raises(ValueError):
