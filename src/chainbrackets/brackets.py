@@ -170,15 +170,17 @@ def _block_core(
         h = (N - sigma) // 2
         top = sigma - t
         k_hi = top // 2
-        # F_k/Fnorm times den = 2**k_hi * (sigma-t)!: an integer,
-        # since (sigma-t)!/((sigma-t-2k)! k!) = C(sigma-t, 2k) (2k)!/k!.
-        weights = [
-            (-1) ** k
-            * double_factorial(2 * sigma + nu - 3 - 2 * k)
-            * 2 ** (k_hi - k)
-            * (factorial(top) // (factorial(top - 2 * k) * factorial(k)))
-            for k in range(k_hi + 1)
-        ]
+        # F_k/Fnorm times den = 2**k_hi * (sigma-t)!: the integer
+        # w_k = (-1)**k (2 sigma+nu-3-2k)!! 2**(k_hi-k) (sigma-t)!/((sigma-t-2k)! k!),
+        # since (sigma-t)!/((sigma-t-2k)! k!) = C(sigma-t, 2k) (2k)!/k!.  Built
+        # from k_hi down by running products; top - 2 k_hi is 0 or 1.
+        weights = [0] * (k_hi + 1)
+        w = double_factorial(2 * sigma + nu - 3 - 2 * k_hi) * (factorial(top) // factorial(k_hi))
+        for k in range(k_hi, 0, -1):
+            weights[k] = -w if k % 2 else w
+            # |w_(k-1)| / |w_k| = 2 (2 sigma+nu-1-2k) k / ((top-2k+2)(top-2k+1)), exactly
+            w = w * 2 * (2 * sigma + nu - 1 - 2 * k) * k // ((top - 2 * k + 2) * (top - 2 * k + 1))
+        weights[0] = w
         column = []
         for n in ns:
             m = (n - t) // 2

@@ -10,9 +10,12 @@ All arithmetic is exact and runs on Python ints; no floating point anywhere.
 A state stores each monomial's coefficient as a Gaussian integer (re, im)
 under one rational scale for the whole state.  Every operator is a
 Gaussian-integer operator over one common denominator, computed when it is
-built, so `apply` and `inner` multiply integers and touch the scale once per
-call.  The intrinsic deformed states come from fraction-free (Bareiss)
-elimination over the Gaussian integers.
+built, so `apply` and the overlaps multiply integers and touch the scale once
+per call.  The intrinsic deformed states come from fraction-free (Bareiss)
+elimination over the Gaussian integers.  Each basis state is one `apply` from
+its cached neighbour on a ladder (the b-space pair ladder on the seed, the full
+pair ladder on the intrinsic state), and each overlap is one weighted integer
+dot with a single rational formed at the end.
 """
 
 from __future__ import annotations
@@ -312,63 +315,66 @@ def _product_on(a: BosonOperator, b: BosonOperator, occ: tuple, sign: int, out: 
             out[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
 
 
-def inner(psi: FockState, phi: FockState) -> GaussianRational:
-    """Boson Fock inner product <psi|phi> with the monomial weights prod occ_j!."""
-    a, b = psi.coeffs, phi.coeffs
-    conj = 1
-    if len(a) > len(b):
-        a, b, conj = b, a, -1
+def _weighted(psi: FockState) -> list[tuple]:
+    """psi's monomials as (occ, re * w, im * w), w = prod occ_j! = <occ|occ>."""
     factorial = math.factorial
-    re = im = 0
-    for occ, (ar, ai) in a.items():
-        other = b.get(occ)
-        if other is None:
-            continue
-        br, bi = other
+    out = []
+    for occ, (re, im) in psi.coeffs.items():
         weight = 1
         for x in occ:
             if x > 1:
                 weight *= factorial(x)
-        re += (ar * br + ai * bi) * weight
-        im += (ar * bi - ai * br) * weight
+        out.append((occ, re * weight, im * weight))
+    return out
+
+
+def _dot(bra: list[tuple], phi: FockState) -> tuple[int, int]:
+    """Integer parts (re, im) of <psi|phi> = (re + i im) * psi.scale * phi.scale.
+
+    bra is _weighted(psi); no rational is formed.
+    """
+    get = phi.coeffs.get
+    re = im = 0
+    for occ, ar, ai in bra:
+        other = get(occ)
+        if other is not None:
+            br, bi = other
+            re += ar * br + ai * bi
+            im += ar * bi - ai * br
+    return re, im
+
+
+def _real_dot(psi: FockState, phi: FockState, bra: list[tuple] | None = None) -> int:
+    """Integer part of the real overlap <psi|phi>, reusing bra = _weighted(psi) if given.
+
+    A nonzero imaginary part raises KernelError.
+    """
+    re, im = _dot(_weighted(psi) if bra is None else bra, phi)
+    if im:
+        raise KernelError(
+            f"expected a real inner product, got imaginary part {im * psi.scale * phi.scale}"
+        )
+    return re
+
+
+def inner(psi: FockState, phi: FockState) -> GaussianRational:
+    """Boson Fock inner product <psi|phi> with the monomial weights prod occ_j!."""
+    re, im = _dot(_weighted(psi), phi)
     scale = psi.scale * phi.scale
-    return GaussianRational(re * scale, conj * im * scale)
+    return GaussianRational(re * scale, im * scale)
 
 
 def real_inner_block(bras: list[FockState], kets: list[FockState]) -> list[list[int]]:
     """Integer parts of the real overlaps <bra_i|ket_j> for every pair.
 
-    <bra_i|ket_j> = block[i][j] * bra_i.scale * ket_j.scale.  Each bra's
-    monomial weights prod occ_j! multiply its coefficients once, not once per
-    ket.  A nonzero imaginary part raises KernelError.
+    <bra_i|ket_j> = block[i][j] * bra_i.scale * ket_j.scale.  Each bra is
+    weighted once, not once per ket.  A nonzero imaginary part raises
+    KernelError.
     """
-    factorial = math.factorial
     block = []
     for psi in bras:
-        weighted = []
-        for occ, (re, im) in psi.coeffs.items():
-            weight = 1
-            for x in occ:
-                if x > 1:
-                    weight *= factorial(x)
-            weighted.append((occ, re * weight, im * weight))
-        row = []
-        for phi in kets:
-            get = phi.coeffs.get
-            re = im = 0
-            for occ, ar, ai in weighted:
-                other = get(occ)
-                if other is not None:
-                    br, bi = other
-                    re += ar * br + ai * bi
-                    im += ar * bi - ai * br
-            if im:
-                raise KernelError(
-                    "expected a real inner product, got imaginary part "
-                    f"{im * psi.scale * phi.scale}"
-                )
-            row.append(re)
-        block.append(row)
+        bra = _weighted(psi)
+        block.append([_real_dot(psi, phi, bra) for phi in kets])
     return block
 
 
@@ -377,79 +383,70 @@ def real_inner_block(bras: list[FockState], kets: list[FockState]) -> list[list[
 # ---------------------------------------------------------------------------
 
 
-def _one() -> GaussianRational:
-    return GaussianRational(rational(1), rational(0))
-
-
-def _i() -> GaussianRational:
-    return GaussianRational(rational(0), rational(1))
+_G_ONE = GaussianRational.of(1)
+_G_I = GaussianRational.of(0, 1)
+_G_HALF = GaussianRational.of(rational(1, 2))
 
 
 @lru_cache(maxsize=None)
 def creation_power(mode: int, power: int) -> BosonOperator:
-    return BosonOperator.single(_one(), cre=((mode, power),))
+    return BosonOperator.single(_G_ONE, cre=((mode, power),))
 
 
 @lru_cache(maxsize=None)
 def pair_creation_b(nu: int) -> BosonOperator:
     """Sum of squared creation operators over the nu non-scalar modes."""
-    return BosonOperator([(_one(), ((j, 2),), ()) for j in range(1, nu + 1)])
+    return BosonOperator([(_G_ONE, ((j, 2),), ()) for j in range(1, nu + 1)])
 
 
 @lru_cache(maxsize=None)
 def pair_annihilation_b(nu: int) -> BosonOperator:
-    return BosonOperator([(_one(), (), ((j, 2),)) for j in range(1, nu + 1)])
+    return BosonOperator([(_G_ONE, (), ((j, 2),)) for j in range(1, nu + 1)])
 
 
 @lru_cache(maxsize=None)
 def pair_creation_full(nu: int, barred: bool = False) -> BosonOperator:
     """Scalar-squared plus (standard) or minus (barred) the b-space pair creator."""
-    sign = _one() if not barred else GaussianRational(rational(-1), rational(0))
-    terms = [(_one(), ((0, 2),), ())]
+    sign = -_G_ONE if barred else _G_ONE
+    terms = [(_G_ONE, ((0, 2),), ())]
     terms += [(sign, ((j, 2),), ()) for j in range(1, nu + 1)]
     return BosonOperator(terms)
 
 
 @lru_cache(maxsize=None)
 def pair_annihilation_full(nu: int, barred: bool = False) -> BosonOperator:
-    sign = _one() if not barred else GaussianRational(rational(-1), rational(0))
-    terms = [(_one(), (), ((0, 2),))]
+    sign = -_G_ONE if barred else _G_ONE
+    terms = [(_G_ONE, (), ((0, 2),))]
     terms += [(sign, (), ((j, 2),)) for j in range(1, nu + 1)]
     return BosonOperator(terms)
 
 
 @lru_cache(maxsize=None)
 def number_operator(nu: int) -> BosonOperator:
-    return BosonOperator([(_one(), ((j, 1),), ((j, 1),)) for j in range(nu + 1)])
+    return BosonOperator([(_G_ONE, ((j, 1),), ((j, 1),)) for j in range(nu + 1)])
 
 
 @lru_cache(maxsize=None)
 def b_number_operator(nu: int) -> BosonOperator:
-    return BosonOperator([(_one(), ((j, 1),), ((j, 1),)) for j in range(1, nu + 1)])
+    return BosonOperator([(_G_ONE, ((j, 1),), ((j, 1),)) for j in range(1, nu + 1)])
 
 
 @lru_cache(maxsize=None)
 def s_number_operator(nu: int) -> BosonOperator:
-    return BosonOperator([(_one(), ((0, 1),), ((0, 1),))])
+    return BosonOperator([(_G_ONE, ((0, 1),), ((0, 1),))])
 
 
 @lru_cache(maxsize=None)
 def pair_exchange_operator(nu: int) -> BosonOperator:
     """(1/2) sum_j (b_j^dag^2 s^2 + s^dag^2 b_j^2): moves one boson pair between s and the b space."""
-    half = GaussianRational(rational(1, 2), rational(0))
-    up = [(half, ((j, 2),), ((0, 2),)) for j in range(1, nu + 1)]
-    down = [(half, ((0, 2),), ((j, 2),)) for j in range(1, nu + 1)]
+    up = [(_G_HALF, ((j, 2),), ((0, 2),)) for j in range(1, nu + 1)]
+    down = [(_G_HALF, ((0, 2),), ((j, 2),)) for j in range(1, nu + 1)]
     return BosonOperator(up + down)
 
 
 def so_generator(nu: int, j: int, k: int) -> BosonOperator:
     """Antisymmetric generator i(b_j^dag b_k - b_k^dag b_j) for 1 <= j < k <= nu."""
-    return BosonOperator(
-        [
-            (_i(), ((j, 1),), ((k, 1),)),
-            (GaussianRational(rational(0), rational(-1)), ((k, 1),), ((j, 1),)),
-        ]
-    )
+    return BosonOperator([(_G_I, ((j, 1),), ((k, 1),)), (-_G_I, ((k, 1),), ((j, 1),))])
 
 
 def d_generator(nu: int, j: int, barred: bool = False) -> BosonOperator:
@@ -458,34 +455,24 @@ def d_generator(nu: int, j: int, barred: bool = False) -> BosonOperator:
     Standard realization: i(s^dag b_j - b_j^dag s); barred: s^dag b_j + b_j^dag s.
     """
     if barred:
-        return BosonOperator(
-            [(_one(), ((0, 1),), ((j, 1),)), (_one(), ((j, 1),), ((0, 1),))]
-        )
-    return BosonOperator(
-        [
-            (_i(), ((0, 1),), ((j, 1),)),
-            (GaussianRational(rational(0), rational(-1)), ((j, 1),), ((0, 1),)),
-        ]
-    )
+        return BosonOperator([(_G_ONE, ((0, 1),), ((j, 1),)), (_G_ONE, ((j, 1),), ((0, 1),))])
+    return BosonOperator([(_G_I, ((0, 1),), ((j, 1),)), (-_G_I, ((j, 1),), ((0, 1),))])
 
 
 @lru_cache(maxsize=None)
 def quasispin_plus(nu: int) -> BosonOperator:
-    half = GaussianRational(rational(1, 2), rational(0))
-    return pair_creation_b(nu).scaled(half)
+    return pair_creation_b(nu).scaled(_G_HALF)
 
 
 @lru_cache(maxsize=None)
 def quasispin_minus(nu: int) -> BosonOperator:
-    half = GaussianRational(rational(1, 2), rational(0))
-    return pair_annihilation_b(nu).scaled(half)
+    return pair_annihilation_b(nu).scaled(_G_HALF)
 
 
 @lru_cache(maxsize=None)
 def quasispin_zero(nu: int) -> BosonOperator:
-    half = GaussianRational(rational(1, 2), rational(0))
-    shift = GaussianRational(rational(nu, 4), rational(0))
-    return b_number_operator(nu).scaled(half) + BosonOperator.single(shift)
+    shift = GaussianRational.of(rational(nu, 4))
+    return b_number_operator(nu).scaled(_G_HALF) + BosonOperator.single(shift)
 
 
 # ---------------------------------------------------------------------------
@@ -527,20 +514,15 @@ class NormalizedState:
     norm_sq: object
 
     def norm_squared(self):
-        return _real_part(inner(self.state, self.state)) / self.norm_sq
-
-
-def _real_part(value: GaussianRational):
-    if value.im != 0:
-        raise KernelError(f"expected a real inner product, got imaginary part {value.im}")
-    return value.re
+        return _real_norm_sq(self.state) / self.norm_sq
 
 
 def _real_norm_sq(psi: FockState):
-    nsq = _real_part(inner(psi, psi))
+    """<psi|psi> as one rational built from the integer dot."""
+    nsq = _real_dot(psi, psi)
     if nsq <= 0:
         raise KernelError("state unexpectedly has nonpositive norm")
-    return nsq
+    return rational(nsq * psi.scale.numerator**2, psi.scale.denominator**2)
 
 
 def _cached_on(label):
@@ -570,20 +552,28 @@ def _chain1_label(nu: int, N: int, n: int, tau: int) -> tuple:
     return nu, N, n, abs(tau)
 
 
+@lru_cache(maxsize=None)
+def _b_ladder(nu: int, t: int, q: int) -> FockState:
+    """(P_b^dag)^q on the seniority-t seed: one apply onto the cached rung q - 1."""
+    if not q:
+        return seed_state(nu, t)
+    return apply(pair_creation_b(nu), _b_ladder(nu, t, q - 1))
+
+
 @_cached_on(_chain1_label)
 def build_chain1_state(nu: int, N: int, n: int, tau: int) -> NormalizedState:
     """Oscillator-chain state: scalar bosons on top of the pair ladder on the seed.
 
-    The state depends on |tau| only, and is cached on it.  Built without any
-    closed-form normalization: the ladder phase (-1)^((n-tau)/2) is applied
-    and the exact norm is computed afterwards.
+    The state depends on |tau| only, and is cached on it.  One apply of
+    s^dag^(N-n) onto the shared b-space ladder (P_b^dag)^((n-tau)/2) seed,
+    without any closed-form normalization: the ladder phase (-1)^((n-tau)/2)
+    is applied and the exact norm is computed afterwards.
     """
-    psi = seed_state(nu, tau)
-    for _ in range((n - tau) // 2):
-        psi = apply(pair_creation_b(nu), psi)
+    q = (n - tau) // 2
+    psi = _b_ladder(nu, tau, q)
     if N > n:
         psi = apply(creation_power(0, N - n), psi)
-    if ((n - tau) // 2) % 2:
+    if q % 2:
         psi = psi.times(-1)
     return NormalizedState(psi, _real_norm_sq(psi))
 
@@ -663,19 +653,15 @@ def _chain2_intrinsic(nu: int, sigma: int, t: int, barred: bool) -> FockState:
     """Unique sigma-boson seed-built state killed by the full pair annihilator.
 
     Solved by fraction-free elimination over the span of
-    (scalar^p)(pair-creator^q) seed with p + 2q = sigma - t, and normalized
-    so the span's first element (q = 0) has coefficient 1; phase fixed so
-    the coefficient of the pure scalar-power-times-seed monomial is positive.
+    (scalar^p)(pair-creator^q) seed with p + 2q = sigma - t, each element one
+    apply of s^dag^p onto the shared b-space ladder, and normalized so the
+    span's first element (q = 0) has coefficient 1; phase fixed so the
+    coefficient of the pure scalar-power-times-seed monomial is positive.
     """
-    seed = seed_state(nu, t)
     span = []
-    v = seed
-    span_by_q = [seed]
-    for _ in range((sigma - t) // 2):
-        v = apply(pair_creation_b(nu), v)
-        span_by_q.append(v)
-    for q, base in enumerate(span_by_q):
+    for q in range((sigma - t) // 2 + 1):
         p = sigma - t - 2 * q
+        base = _b_ladder(nu, t, q)
         span.append(apply(creation_power(0, p), base) if p else base)
     down = pair_annihilation_full(nu, barred)
     # apply maps integer parts to integer parts whatever the scale, so the
@@ -707,6 +693,15 @@ def _chain2_label(
     return nu, N, sigma, abs(tau), as_convention(convention)
 
 
+@lru_cache(maxsize=None)
+def _chain2_ladder(nu: int, sigma: int, t: int, barred: bool, k: int) -> FockState:
+    """(-1)^k (P^dag)^k on the intrinsic state: -P^dag applied to the cached rung k - 1."""
+    if not k:
+        return _chain2_intrinsic(nu, sigma, t, barred)
+    below = _chain2_ladder(nu, sigma, t, barred, k - 1)
+    return apply(pair_creation_full(nu, barred), below).times(-1)
+
+
 @_cached_on(_chain2_label)
 def build_chain2_state(
     nu: int, N: int, sigma: int, tau: int, convention: Convention = Convention.STANDARD
@@ -714,16 +709,11 @@ def build_chain2_state(
     """Deformed-chain state: full pair ladder on the intrinsic kernel state.
 
     The state depends on |tau| and the convention only, and is cached on
-    them.  Independent of every closed form; the ladder phase
-    (-1)^((N-sigma)/2) is applied and the exact norm computed afterwards.
+    them.  Independent of every closed form.  The ladder phase
+    (-1)^((N-sigma)/2) rides along the ladder, each rung one apply of -P^dag
+    onto the cached state at N - 2; the exact norm is computed afterwards.
     """
-    barred = convention is Convention.BARRED
-    psi = _chain2_intrinsic(nu, sigma, tau, barred)
-    steps = (N - sigma) // 2
-    for _ in range(steps):
-        psi = apply(pair_creation_full(nu, barred), psi)
-    if steps % 2:
-        psi = psi.times(-1)
+    psi = _chain2_ladder(nu, sigma, tau, convention is Convention.BARRED, (N - sigma) // 2)
     return NormalizedState(psi, _real_norm_sq(psi))
 
 
@@ -738,15 +728,22 @@ def oracle_bracket(
     """Sign and square of the overlap of the two constructed basis states.
 
     Returns (sign, square) with square = <1|2>^2 / (<1|1><2|2>) on the raw
-    states, directly comparable to (sign, radicand) of the closed form.
+    states, directly comparable to (sign, radicand) of the closed form.  The
+    overlap is one integer dot: <1|2> = dot * s1 * s2 with s1, s2 the
+    states' scales, so square is one rational from integer products.
     """
     one = build_chain1_state(nu, N, n, tau)
     two = build_chain2_state(nu, N, sigma, tau, convention)
-    overlap = _real_part(inner(one.state, two.state))
-    if not overlap:
+    s1, s2 = one.state.scale, two.state.scale
+    dot = _real_dot(one.state, two.state) * s1.numerator * s2.numerator
+    if not dot:
         return 0, rational(0)
-    square = overlap * overlap / (one.norm_sq * two.norm_sq)
-    return (1 if overlap > 0 else -1), square
+    den = s1.denominator * s2.denominator
+    n1, n2 = one.norm_sq, two.norm_sq
+    square = rational(
+        dot * dot * n1.denominator * n2.denominator, den * den * n1.numerator * n2.numerator
+    )
+    return (1 if dot > 0 else -1), square
 
 
 # ---------------------------------------------------------------------------
@@ -851,9 +848,8 @@ def casimir_check(
     """Exact Rayleigh quotient <psi|C|psi> / <psi|psi>."""
     if psi.is_zero:
         raise LabelError("casimir_check needs a nonzero state")
-    return _real_part(inner(psi, casimir_apply(nu, psi, group, convention))) / _real_part(
-        inner(psi, psi)
-    )
+    image = casimir_apply(nu, psi, group, convention)
+    return rational(_real_dot(psi, image), _real_dot(psi, psi)) * image.scale / psi.scale
 
 
 def is_exact_eigenstate(
@@ -935,6 +931,8 @@ _CACHED = (
     seed_state,
     build_chain1_state,
     build_chain2_state,
+    _b_ladder,
+    _chain2_ladder,
     _chain2_intrinsic,
     _casimir_generators,
     _casimir_rows,

@@ -15,12 +15,17 @@ from chainbrackets.fockoracle import (
     CasimirGroup,
     FockState,
     KernelError,
+    NormalizedState,
     _casimir_generators,
     _casimir_rows,
     _chain2_intrinsic,
+    _dot,
     _kernel_ints,
     _monomial_index,
     _product_on,
+    _real_dot,
+    _real_norm_sq,
+    _weighted,
     apply,
     b_number_operator,
     build_chain1_state,
@@ -95,7 +100,7 @@ def test_inner_conjugates_the_bra():
     b = monomial(1, 0, 0)
     assert inner(a, b) == gr(0, -1)
     assert inner(b, a) == gr(0, 1)
-    # the sum runs over the smaller state's monomials; the bra stays conjugated
+    # a larger state on either side: the bra stays conjugated
     big = FockState({(1, 0, 0): gr(0, rational(1, 2)), (0, 1, 0): gr(1)})
     assert inner(big, b) == gr(0, rational(-1, 2))
     assert inner(b, big) == gr(0, rational(1, 2))
@@ -550,3 +555,159 @@ def test_su11_check_catches_a_wrong_operator(monkeypatch, name, wrong):
     assert su11_commutator_check(3, 2)
     monkeypatch.setattr(fockoracle, name, wrong)
     assert not su11_commutator_check(3, 2)
+
+
+def _oracle_bracket_by_fractions(nu, N, n, sigma, tau, conv):
+    """Reference: inner products as GaussianRationals, then Fraction arithmetic."""
+    one = build_chain1_state(nu, N, n, tau).state
+    two = build_chain2_state(nu, N, sigma, tau, conv).state
+    overlap = inner(one, two)
+    assert overlap.im == 0
+    if not overlap.re:
+        return 0, rational(0)
+    square = overlap.re**2 / (inner(one, one).re * inner(two, two).re)
+    return (1 if overlap.re > 0 else -1), square
+
+
+def _bracket_labels(nu_max, n_max):
+    """Every (nu, N, n, sigma, tau) with nu <= nu_max, N <= n_max; signed tau at nu = 2."""
+    for nu in range(2, nu_max + 1):
+        for N in range(n_max + 1):
+            for tau in range(-N if nu == 2 else 0, N + 1):
+                ns, sigmas = bracket_index_set(nu, N, tau)
+                for n in ns:
+                    for sigma in sigmas:
+                        yield nu, N, n, sigma, tau
+
+
+def test_oracle_bracket_equals_the_fraction_reference():
+    zeros = 0
+    for nu, N, n, sigma, tau in _bracket_labels(4, 8):
+        for conv in Convention:
+            got = oracle_bracket(nu, N, n, sigma, tau, conv)
+            assert got == _oracle_bracket_by_fractions(nu, N, n, sigma, tau, conv)
+            assert type(got[1]) is type(rational(1))
+            zeros += got[0] == 0
+    assert zeros > 0
+
+
+def test_integer_dot_carries_the_scales_and_rejects_imaginary_overlaps():
+    a = FockState({(0, 2, 0): gr(rational(3, 2), -1), (1, 0, 1): gr(0, rational(1, 3))})
+    b = FockState({(0, 2, 0): gr(-2, 5), (1, 0, 1): gr(4), (0, 0, 2): gr(7)})
+    for bra, ket in ((a, b), (b, a), (a, a)):
+        re, im = _dot(_weighted(bra), ket)
+        assert inner(bra, ket) == gr(re, im).times(bra.scale * ket.scale)
+    # a multiple of b overlaps b in a real number, whatever b's complex coefficients
+    scaled_b = b.times(rational(-5, 3))
+    re, im = _dot(_weighted(scaled_b), b)
+    assert im == 0 and _real_dot(scaled_b, b) == _real_dot(scaled_b, b, _weighted(scaled_b)) == re
+    with pytest.raises(KernelError, match="imaginary part"):
+        _real_dot(a, b)
+
+
+def test_oracle_bracket_rejects_a_complex_overlap(monkeypatch):
+    nu, N, n, sigma, tau = 2, 2, 0, 0, 0
+    assert oracle_bracket(nu, N, n, sigma, tau)[0] != 0
+    two = build_chain2_state(nu, N, sigma, tau)
+    # (1 + i) times the state: same norm up to the factor 2, complex overlap
+    rotated = NormalizedState(two.state.scaled(gr(1, 1)), two.norm_sq * 2)
+    monkeypatch.setattr(fockoracle, "build_chain2_state", lambda *args, **kwargs: rotated)
+    with pytest.raises(KernelError, match="imaginary part"):
+        oracle_bracket(nu, N, n, sigma, tau)
+
+
+def test_real_norm_sq_equals_the_inner_product():
+    psi = build_chain2_state(3, 5, 3, 1, Convention.BARRED).state
+    complex_ = FockState({(0, 1, 0, 0): gr(rational(2, 3), rational(-5, 7)), (2, 0, 0, 1): gr(0, 3)})
+    cases = (psi, psi.times(-1), psi.times(rational(7, 4)), complex_, complex_.times(-3))
+    assert all(state.scale != 1 for state in cases)
+    assert any(state.scale < 0 for state in cases)
+    for state in cases:
+        assert _real_norm_sq(state) == inner(state, state).re
+    with pytest.raises(KernelError):
+        _real_norm_sq(FockState({}))
+
+
+def _ladder_references(nu, n_max):
+    """Both chains' raw states built from their starts, keyed by label, phase applied last."""
+    chain1, chain2 = {}, {}
+    for t in range(n_max + 1):
+        ladder = seed_state(nu, t)
+        for n in range(t, n_max + 1, 2):
+            q = (n - t) // 2
+            for N in range(n, n_max + 1):
+                psi = apply(creation_power(0, N - n), ladder) if N > n else ladder
+                chain1[nu, N, n, t] = psi.times(-1) if q % 2 else psi
+            ladder = apply(pair_creation_b(nu), ladder)
+        for sigma in range(t, n_max + 1):
+            for conv in Convention:
+                barred = conv is Convention.BARRED
+                psi = _intrinsic_reference(nu, sigma, t, barred)
+                for k, N in enumerate(range(sigma, n_max + 1, 2)):
+                    chain2[nu, N, sigma, t, conv] = psi.times(-1) if k % 2 else psi
+                    psi = apply(pair_creation_full(nu, barred), psi)
+    return chain1, chain2
+
+
+@pytest.mark.parametrize("nu", [2, 3, 4, 5])
+def test_incremental_ladders_equal_ladders_built_from_the_start(nu, cold_caches):
+    chain1, chain2 = _ladder_references(nu, 10)
+    # cold from the deepest rung down, so each ladder fills in one recursion, then
+    # cold again from the bottom up, so each state is one apply onto a cached rung
+    for deepest_first in (True, False):
+        clear_caches()
+        for label in sorted(chain2, key=lambda lab: -lab[1] if deepest_first else lab[1]):
+            st, expected = build_chain2_state(*label), chain2[label]
+            assert st.state == expected, label
+            assert st.norm_sq == inner(expected, expected).re
+        for label in sorted(chain1, key=lambda lab: -lab[1] if deepest_first else lab[1]):
+            st, expected = build_chain1_state(*label), chain1[label]
+            assert (st.state.coeffs, st.state.scale) == (expected.coeffs, expected.scale), label
+            assert st.norm_sq == inner(expected, expected).re
+    # warm: every label is a cache hit and still equals its reference
+    hits = build_chain2_state.cache_info().hits
+    assert all(build_chain2_state(*label).state == chain2[label] for label in chain2)
+    assert build_chain2_state.cache_info().hits == hits + len(chain2)
+
+
+def _counting_apply(monkeypatch):
+    ops = []
+    real = fockoracle.apply
+
+    def counted(op, psi):
+        ops.append(op)
+        return real(op, psi)
+
+    monkeypatch.setattr(fockoracle, "apply", counted)
+    return ops
+
+
+@pytest.mark.parametrize("conv", list(Convention))
+def test_each_ladder_rung_costs_one_apply(monkeypatch, cold_caches, conv):
+    nu, sigma, tau = 3, 2, 0
+    ops = _counting_apply(monkeypatch)
+    build_chain2_state(nu, 6, sigma, tau, conv)
+    for N in (8, 10):
+        del ops[:]
+        build_chain2_state(nu, N, sigma, tau, conv)
+        assert ops == [pair_creation_full(nu, conv is Convention.BARRED)]
+    # chain I: the b-space rung is cached, so only the scalar bosons are applied
+    build_chain1_state(nu, 6, 4, 0)
+    del ops[:]
+    build_chain1_state(nu, 9, 4, 0)
+    assert ops == [creation_power(0, 5)]
+    del ops[:]
+    build_chain1_state(nu, 6, 6, 0)
+    assert ops == [pair_creation_b(nu)]
+
+
+def test_clear_caches_empties_every_cache():
+    build_chain1_state(3, 6, 4, 2)
+    build_chain2_state(3, 6, 4, 2, Convention.BARRED)
+    casimir_apply(3, seed_state(3, 2), CasimirGroup.SO_NU_PLUS_ONE)
+    su11_commutator_check(2, 2)
+    caches = {name: fn for name, fn in vars(fockoracle).items() if hasattr(fn, "cache_info")}
+    assert {"_b_ladder", "_chain2_ladder", "build_chain2_state"} <= set(caches)
+    assert any(fn.cache_info().currsize for fn in caches.values())
+    clear_caches()
+    assert {name: fn.cache_info().currsize for name, fn in caches.items()} == dict.fromkeys(caches, 0)
