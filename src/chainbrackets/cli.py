@@ -27,7 +27,7 @@ from .brackets import (
 )
 from .exactnum import DomainError, SurdSumError, SurdValue
 from .fockoracle import KernelError
-from .labels import LabelError, UnsupportedDimensionError
+from .labels import LabelError, UnsupportedDimensionError, check_dimension
 from .transform import OperatorSpec, deformed_matrix
 from .verify import CLI_SUITES, run_cli_suite
 
@@ -177,6 +177,10 @@ def cmd_verify(args) -> int:
             raise _UsageError(
                 f"unknown suite {name!r}; available: {','.join(CLI_SUITES)}"
             )
+    # an empty range would run no check and still print PASS
+    check_dimension(args.nu_max)
+    if args.N_max < 0:
+        raise LabelError(f"N={args.N_max} must be nonnegative")
     all_passed = True
     total = 0
     for name in names:

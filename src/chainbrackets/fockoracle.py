@@ -8,14 +8,16 @@ which every closed form is certified.
 
 All arithmetic is exact and runs on Python ints; no floating point anywhere.
 A state stores each monomial's coefficient as a Gaussian integer (re, im)
-under one rational scale for the whole state.  Every operator is a
-Gaussian-integer operator over one common denominator, computed when it is
-built, so `apply` and the overlaps multiply integers and touch the scale once
-per call.  The intrinsic deformed states come from fraction-free (Bareiss)
-elimination over the Gaussian integers.  Each basis state is one `apply` from
-its cached neighbour on a ladder (the b-space pair ladder on the seed, the full
-pair ladder on the intrinsic state), and each overlap is one weighted integer
-dot with a single rational formed at the end.
+under one rational scale for the whole state.  Every operator is written as
+Gaussian integers over one integer denominator, so `apply` and the overlaps
+multiply integers and touch the scale once per call.  The intrinsic deformed
+states come from fraction-free (Bareiss) elimination over the Gaussian
+integers.  Each basis state is one `apply` from its cached neighbour on a
+ladder (the b-space pair ladder on the seed, the full pair ladder on the
+intrinsic state).  Each overlap is one weighted integer dot, and one rule
+(`_signed_square`) turns it into the (sign, square) pair that both
+`oracle_bracket` and `overlap_squares` return.  No other module reads a
+state's integers or scale.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ __all__ = [
     "NormalizedState",
     "apply",
     "inner",
-    "real_inner_block",
+    "overlap_squares",
     "seed_state",
     "build_chain1_state",
     "build_chain2_state",
@@ -86,13 +88,6 @@ def _multipliers(sa, sb) -> tuple[int, int, object]:
     g = math.gcd(na, nb)
     lcm = math.lcm(da, db)
     return na // g * (lcm // da), nb // g * (lcm // db), rational(g, lcm)
-
-
-def _times_gauss(coeffs: dict, cr: int, ci: int) -> dict:
-    """Every Gaussian-integer coefficient multiplied by cr + i ci (nonzero)."""
-    return {
-        occ: (re * cr - im * ci, re * ci + im * cr) for occ, (re, im) in coeffs.items()
-    }
 
 
 class _Terms(Mapping):
@@ -165,13 +160,6 @@ class FockState:
         coeffs = {occ: (re // g, im // g) for occ, (re, im) in self.coeffs.items()}
         return FockState._of(coeffs, self.scale * g)
 
-    def scaled(self, c: GaussianRational) -> "FockState":
-        den = _common_den((c,))
-        cr, ci = _int_over(c.re, den), _int_over(c.im, den)
-        if not (cr or ci):
-            return FockState._of({}, _ONE)
-        return FockState._of(_times_gauss(self.coeffs, cr, ci), self.scale / den)
-
     def times(self, scalar) -> "FockState":
         """Scale by an exact real scalar (int or rational)."""
         if not scalar or not self.coeffs:
@@ -202,26 +190,23 @@ class FockState:
 
 
 class BosonOperator:
-    """Sum of normal-ordered creation/annihilation monomials.
+    """Sum of normal-ordered creation/annihilation monomials over one denominator.
 
-    Each term is (coeff, cre, ann) with cre/ann sparse tuples of
-    (mode, power) pairs; the term acts as coeff * prod b_dag^cre * prod b^ann.
+    Built from terms (cr, ci, cre, ann) and the positive integer den: the term
+    acts as (cr + i ci) / den * prod b_dag^cre * prod b^ann, with cr, ci ints
+    and cre/ann sparse tuples of (mode, power) pairs.  `terms` holds, per
+    nonzero term, (cr, ci, ann, moves): the Gaussian integer, the annihilated
+    (mode, power) pairs and the net (mode, shift) of occupation numbers.
     Products of operators are evaluated by composing their actions (`apply`
-    on states, `_product_on` on one monomial), never symbolically.  On
-    construction the coefficients are brought over one common denominator
-    `den`: `int_terms` holds, per nonzero term, the Gaussian integer
-    coeff * den, the annihilated (mode, power) pairs and the net
-    (mode, shift) of occupation numbers.
+    on states, `_product_on` on one monomial), never symbolically.
     """
 
-    __slots__ = ("terms", "den", "int_terms")
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms):
-        self.terms = tuple(terms)
-        den = self.den = _common_den(coeff for coeff, _, _ in self.terms)
-        int_terms = []
-        for coeff, cre, ann in self.terms:
-            cr, ci = _int_over(coeff.re, den), _int_over(coeff.im, den)
+    def __init__(self, terms, den: int = 1):
+        self.den = den
+        out = []
+        for cr, ci, cre, ann in terms:
             if not (cr or ci):
                 continue
             shift = dict.fromkeys([mode for mode, _ in cre + ann], 0)
@@ -230,18 +215,8 @@ class BosonOperator:
             for mode, power in cre:
                 shift[mode] += power
             moves = tuple((mode, d) for mode, d in sorted(shift.items()) if d)
-            int_terms.append((cr, ci, tuple(ann), moves))
-        self.int_terms = tuple(int_terms)
-
-    @classmethod
-    def single(cls, coeff: GaussianRational, cre=(), ann=()) -> "BosonOperator":
-        return cls([(coeff, tuple(cre), tuple(ann))])
-
-    def __add__(self, other: "BosonOperator") -> "BosonOperator":
-        return BosonOperator(self.terms + other.terms)
-
-    def scaled(self, c: GaussianRational) -> "BosonOperator":
-        return BosonOperator([(coeff * c, cre, ann) for coeff, cre, ann in self.terms])
+            out.append((cr, ci, tuple(ann), moves))
+        self.terms = tuple(out)
 
 
 def apply(op: BosonOperator, psi: FockState) -> FockState:
@@ -250,7 +225,7 @@ def apply(op: BosonOperator, psi: FockState) -> FockState:
     get = out.get
     perm = math.perm
     items = psi.coeffs.items()
-    for cr, ci, ann, moves in op.int_terms:
+    for cr, ci, ann, moves in op.terms:
         for occ, (ar, ai) in items:
             factor = 1
             for mode, power in ann:
@@ -284,7 +259,7 @@ def _product_on(a: BosonOperator, b: BosonOperator, occ: tuple, sign: int, out: 
     """
     get = out.get
     perm = math.perm
-    for br, bi, ann, moves in b.int_terms:
+    for br, bi, ann, moves in b.terms:
         factor = sign
         for mode, power in ann:
             factor *= perm(occ[mode], power)
@@ -297,7 +272,7 @@ def _product_on(a: BosonOperator, b: BosonOperator, occ: tuple, sign: int, out: 
                 new[mode] += d
             mid = tuple(new)
         vr, vi = br * factor, bi * factor
-        for ar, ai, ann_a, moves_a in a.int_terms:
+        for ar, ai, ann_a, moves_a in a.terms:
             factor = 1
             for mode, power in ann_a:
                 factor *= perm(mid[mode], power)
@@ -364,89 +339,70 @@ def inner(psi: FockState, phi: FockState) -> GaussianRational:
     return GaussianRational(re * scale, im * scale)
 
 
-def real_inner_block(bras: list[FockState], kets: list[FockState]) -> list[list[int]]:
-    """Integer parts of the real overlaps <bra_i|ket_j> for every pair.
-
-    <bra_i|ket_j> = block[i][j] * bra_i.scale * ket_j.scale.  Each bra is
-    weighted once, not once per ket.  A nonzero imaginary part raises
-    KernelError.
-    """
-    block = []
-    for psi in bras:
-        bra = _weighted(psi)
-        block.append([_real_dot(psi, phi, bra) for phi in kets])
-    return block
-
-
 # ---------------------------------------------------------------------------
 # Operator constructors
 # ---------------------------------------------------------------------------
 
 
-_G_ONE = GaussianRational.of(1)
-_G_I = GaussianRational.of(0, 1)
-_G_HALF = GaussianRational.of(rational(1, 2))
-
-
 @lru_cache(maxsize=None)
 def creation_power(mode: int, power: int) -> BosonOperator:
-    return BosonOperator.single(_G_ONE, cre=((mode, power),))
+    return BosonOperator([(1, 0, ((mode, power),), ())])
 
 
 @lru_cache(maxsize=None)
 def pair_creation_b(nu: int) -> BosonOperator:
     """Sum of squared creation operators over the nu non-scalar modes."""
-    return BosonOperator([(_G_ONE, ((j, 2),), ()) for j in range(1, nu + 1)])
+    return BosonOperator([(1, 0, ((j, 2),), ()) for j in range(1, nu + 1)])
 
 
 @lru_cache(maxsize=None)
 def pair_annihilation_b(nu: int) -> BosonOperator:
-    return BosonOperator([(_G_ONE, (), ((j, 2),)) for j in range(1, nu + 1)])
+    return BosonOperator([(1, 0, (), ((j, 2),)) for j in range(1, nu + 1)])
 
 
 @lru_cache(maxsize=None)
 def pair_creation_full(nu: int, barred: bool = False) -> BosonOperator:
     """Scalar-squared plus (standard) or minus (barred) the b-space pair creator."""
-    sign = -_G_ONE if barred else _G_ONE
-    terms = [(_G_ONE, ((0, 2),), ())]
-    terms += [(sign, ((j, 2),), ()) for j in range(1, nu + 1)]
+    sign = -1 if barred else 1
+    terms = [(1, 0, ((0, 2),), ())]
+    terms += [(sign, 0, ((j, 2),), ()) for j in range(1, nu + 1)]
     return BosonOperator(terms)
 
 
 @lru_cache(maxsize=None)
 def pair_annihilation_full(nu: int, barred: bool = False) -> BosonOperator:
-    sign = -_G_ONE if barred else _G_ONE
-    terms = [(_G_ONE, (), ((0, 2),))]
-    terms += [(sign, (), ((j, 2),)) for j in range(1, nu + 1)]
+    sign = -1 if barred else 1
+    terms = [(1, 0, (), ((0, 2),))]
+    terms += [(sign, 0, (), ((j, 2),)) for j in range(1, nu + 1)]
     return BosonOperator(terms)
 
 
 @lru_cache(maxsize=None)
 def number_operator(nu: int) -> BosonOperator:
-    return BosonOperator([(_G_ONE, ((j, 1),), ((j, 1),)) for j in range(nu + 1)])
+    return BosonOperator([(1, 0, ((j, 1),), ((j, 1),)) for j in range(nu + 1)])
 
 
 @lru_cache(maxsize=None)
 def b_number_operator(nu: int) -> BosonOperator:
-    return BosonOperator([(_G_ONE, ((j, 1),), ((j, 1),)) for j in range(1, nu + 1)])
+    return BosonOperator([(1, 0, ((j, 1),), ((j, 1),)) for j in range(1, nu + 1)])
 
 
 @lru_cache(maxsize=None)
 def s_number_operator(nu: int) -> BosonOperator:
-    return BosonOperator([(_G_ONE, ((0, 1),), ((0, 1),))])
+    return BosonOperator([(1, 0, ((0, 1),), ((0, 1),))])
 
 
 @lru_cache(maxsize=None)
 def pair_exchange_operator(nu: int) -> BosonOperator:
     """(1/2) sum_j (b_j^dag^2 s^2 + s^dag^2 b_j^2): moves one boson pair between s and the b space."""
-    up = [(_G_HALF, ((j, 2),), ((0, 2),)) for j in range(1, nu + 1)]
-    down = [(_G_HALF, ((0, 2),), ((j, 2),)) for j in range(1, nu + 1)]
-    return BosonOperator(up + down)
+    up = [(1, 0, ((j, 2),), ((0, 2),)) for j in range(1, nu + 1)]
+    down = [(1, 0, ((0, 2),), ((j, 2),)) for j in range(1, nu + 1)]
+    return BosonOperator(up + down, den=2)
 
 
 def so_generator(nu: int, j: int, k: int) -> BosonOperator:
     """Antisymmetric generator i(b_j^dag b_k - b_k^dag b_j) for 1 <= j < k <= nu."""
-    return BosonOperator([(_G_I, ((j, 1),), ((k, 1),)), (-_G_I, ((k, 1),), ((j, 1),))])
+    return BosonOperator([(0, 1, ((j, 1),), ((k, 1),)), (0, -1, ((k, 1),), ((j, 1),))])
 
 
 def d_generator(nu: int, j: int, barred: bool = False) -> BosonOperator:
@@ -455,24 +411,27 @@ def d_generator(nu: int, j: int, barred: bool = False) -> BosonOperator:
     Standard realization: i(s^dag b_j - b_j^dag s); barred: s^dag b_j + b_j^dag s.
     """
     if barred:
-        return BosonOperator([(_G_ONE, ((0, 1),), ((j, 1),)), (_G_ONE, ((j, 1),), ((0, 1),))])
-    return BosonOperator([(_G_I, ((0, 1),), ((j, 1),)), (-_G_I, ((j, 1),), ((0, 1),))])
+        return BosonOperator([(1, 0, ((0, 1),), ((j, 1),)), (1, 0, ((j, 1),), ((0, 1),))])
+    return BosonOperator([(0, 1, ((0, 1),), ((j, 1),)), (0, -1, ((j, 1),), ((0, 1),))])
 
 
 @lru_cache(maxsize=None)
 def quasispin_plus(nu: int) -> BosonOperator:
-    return pair_creation_b(nu).scaled(_G_HALF)
+    """Q+ = (1/2) sum_j b_j^dag^2."""
+    return BosonOperator([(1, 0, ((j, 2),), ()) for j in range(1, nu + 1)], den=2)
 
 
 @lru_cache(maxsize=None)
 def quasispin_minus(nu: int) -> BosonOperator:
-    return pair_annihilation_b(nu).scaled(_G_HALF)
+    """Q- = (1/2) sum_j b_j^2."""
+    return BosonOperator([(1, 0, (), ((j, 2),)) for j in range(1, nu + 1)], den=2)
 
 
 @lru_cache(maxsize=None)
 def quasispin_zero(nu: int) -> BosonOperator:
-    shift = GaussianRational.of(rational(nu, 4))
-    return b_number_operator(nu).scaled(_G_HALF) + BosonOperator.single(shift)
+    """Q0 = (2 n_b + nu) / 4, with n_b the b-space boson count."""
+    terms = [(2, 0, ((j, 1),), ((j, 1),)) for j in range(1, nu + 1)]
+    return BosonOperator(terms + [(nu, 0, (), ())], den=4)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +482,42 @@ def _real_norm_sq(psi: FockState):
     if nsq <= 0:
         raise KernelError("state unexpectedly has nonpositive norm")
     return rational(nsq * psi.scale.numerator**2, psi.scale.denominator**2)
+
+
+def _unit(st: NormalizedState) -> tuple[int, int, int]:
+    """sign(scale) and the integers num, den with scale**2 / norm_sq = num / den."""
+    a, b = st.state.scale.numerator, st.state.scale.denominator
+    return (1 if a > 0 else -1), a * a * st.norm_sq.denominator, b * b * st.norm_sq.numerator
+
+
+def _signed_square(dot: int, unit1: tuple, unit2: tuple) -> tuple:
+    """(sign, square) of <1|2> / sqrt(<1|1> <2|2>), given unit = _unit(state) of each.
+
+    dot is the integer part of the raw overlap, <1|2> = dot * s1 * s2 with
+    s1, s2 the states' scales, so the square is
+    dot**2 * (s1**2 / norm_1) * (s2**2 / norm_2), one rational from integer
+    products.
+    """
+    if not dot:
+        return 0, rational(0)
+    sign1, num1, den1 = unit1
+    sign2, num2, den2 = unit2
+    sign = sign1 * sign2 if dot > 0 else -sign1 * sign2
+    return sign, rational(dot * dot * num1 * num2, den1 * den2)
+
+
+def overlap_squares(bras: list[NormalizedState], kets: list[NormalizedState]) -> list[list[tuple]]:
+    """(sign, square) of <bra_i|ket_j> for every pair, as oracle_bracket gives one.
+
+    Each bra is weighted once, not once per ket.  A nonzero imaginary part
+    raises KernelError.
+    """
+    kets = [(two.state, _unit(two)) for two in kets]
+    block = []
+    for one in bras:
+        psi, bra, unit = one.state, _weighted(one.state), _unit(one)
+        block.append([_signed_square(_real_dot(psi, phi, bra), unit, u) for phi, u in kets])
+    return block
 
 
 def _cached_on(label):
@@ -676,7 +671,9 @@ def _chain2_intrinsic(nu: int, sigma: int, t: int, barred: bool) -> FockState:
             prev = out.get(occ, _ZERO_PAIR)
             out[occ] = (prev[0] + re * cr - im * ci, prev[1] + re * ci + im * cr)
     # dividing by x0 = xr + i xi: multiply by its conjugate, scale by 1/|x0|^2
-    coeffs = {occ: c for occ, c in _times_gauss(out, xr, -xi).items() if c[0] or c[1]}
+    coeffs = {
+        occ: (re * xr + im * xi, im * xr - re * xi) for occ, (re, im) in out.items() if re or im
+    }
     state = FockState._of(coeffs, span[0].scale / (xr * xr + xi * xi)).canonical()
     # canonical() makes the scale positive, so the phase shows in the integers
     marker = (sigma - t, t) + (0,) * (nu - 1)
@@ -729,21 +726,11 @@ def oracle_bracket(
 
     Returns (sign, square) with square = <1|2>^2 / (<1|1><2|2>) on the raw
     states, directly comparable to (sign, radicand) of the closed form.  The
-    overlap is one integer dot: <1|2> = dot * s1 * s2 with s1, s2 the
-    states' scales, so square is one rational from integer products.
+    overlap is one integer dot.
     """
     one = build_chain1_state(nu, N, n, tau)
     two = build_chain2_state(nu, N, sigma, tau, convention)
-    s1, s2 = one.state.scale, two.state.scale
-    dot = _real_dot(one.state, two.state) * s1.numerator * s2.numerator
-    if not dot:
-        return 0, rational(0)
-    den = s1.denominator * s2.denominator
-    n1, n2 = one.norm_sq, two.norm_sq
-    square = rational(
-        dot * dot * n1.denominator * n2.denominator, den * den * n1.numerator * n2.numerator
-    )
-    return (1 if dot > 0 else -1), square
+    return _signed_square(_real_dot(one.state, two.state), _unit(one), _unit(two))
 
 
 # ---------------------------------------------------------------------------

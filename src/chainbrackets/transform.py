@@ -10,11 +10,10 @@ tau-diagonal.
 
 Both routes run on integers and stay independent of each other.  The
 table's Q is an integer matrix (each column's scale lives in its v**2), so
-Q^T W Q is an integer product over the nonzero entries of W.  The oracle
-route takes the integer block <state_i|O|state_j> from
-fockoracle.real_inner_block, using only the constructed states.  Either way
-the scales, norms and v factors enter once per entry, as one rational
-radicand.
+Q^T W Q is an integer product over the nonzero entries of W, and the v
+factors enter once per entry, as one rational radicand.  The oracle route
+takes the block of normalized overlaps <state_i|O state_j> as (sign, square)
+pairs from fockoracle.overlap_squares, using only the constructed states.
 """
 
 from __future__ import annotations
@@ -29,11 +28,12 @@ from .brackets import Convention, as_convention, table
 from .exactnum import SurdSumError, SurdValue, rational
 from .fockoracle import (
     BosonOperator,
+    NormalizedState,
     apply,
     b_number_operator,
     build_chain2_state,
+    overlap_squares,
     pair_exchange_operator,
-    real_inner_block,
     s_number_operator,
 )
 from .labels import bracket_index_set
@@ -136,12 +136,6 @@ def boson_operator(op: OperatorSpec, nu: int) -> BosonOperator:
     return pair_exchange_operator(nu)
 
 
-def _sign_and_square_over_norm(scale, norm_sq) -> tuple[int, int, int]:
-    """sign(scale) and the integers num, den with scale**2 / norm_sq = num / den."""
-    a, b = scale.numerator, scale.denominator
-    return (1 if a > 0 else -1), a * a * norm_sq.denominator, b * b * norm_sq.numerator
-
-
 def deformed_matrix_oracle(
     nu: int,
     N: int,
@@ -155,24 +149,14 @@ def deformed_matrix_oracle(
     _, sigmas = bracket_index_set(nu, N, tau)
     states = [build_chain2_state(nu, N, s, tau, convention) for s in sigmas]
     bosons = boson_operator(op, nu)
-    kets = [apply(bosons, st.state) for st in states]
-    block = real_inner_block([st.state for st in states], kets)
-    # entry (i, j) is block[i][j] * s_i * k_j / sqrt(norm_i * norm_j), with s_i the
-    # bra's scale and k_j the ket's; its square carries s_i**2/norm_i and k_j**2/norm_j
-    bra = [_sign_and_square_over_norm(st.state.scale, st.norm_sq) for st in states]
-    ket = [_sign_and_square_over_norm(k.scale, st.norm_sq) for k, st in zip(kets, states)]
+    # O|j> / sqrt(<j|j>) is the ket, so each overlap is the entry <i|O|j> itself
+    kets = [NormalizedState(apply(bosons, st.state), st.norm_sq) for st in states]
     zero = SurdValue.zero()
-    entries = []
-    for (si, ni, di), dots in zip(bra, block):
-        row = []
-        for (sj, nj, dj), dot in zip(ket, dots):
-            if not dot:
-                row.append(zero)
-                continue
-            sign = si * sj if dot > 0 else -si * sj
-            row.append(SurdValue(sign, rational(dot * dot * ni * nj, di * dj)))
-        entries.append(tuple(row))
-    return DeformedMatrix(nu, N, tau, op, convention, sigmas, tuple(entries))
+    entries = tuple(
+        tuple(SurdValue(sign, square) if sign else zero for sign, square in row)
+        for row in overlap_squares(states, kets)
+    )
+    return DeformedMatrix(nu, N, tau, op, convention, sigmas, entries)
 
 
 def operator_core(sph: SphericalMatrix, row_sq) -> tuple[tuple[int, ...], ...]:

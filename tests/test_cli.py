@@ -173,6 +173,19 @@ def test_verify_suite_subset(capsys):
     assert "orth: PASS" in out and "sigmaN: PASS" in out and "poch:" not in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--nu-max", "1", "--suites", "orth,oracle,transform"], "dimension nu must be >= 2, got 1"),
+        (["--nu-max", "1"], "dimension nu must be >= 2, got 1"),
+        (["--N-max", "-3", "--suites", "su11"], "N=-3 must be nonnegative"),
+    ],
+)
+def test_verify_rejects_a_range_with_nothing_to_check(capsys, argv, message):
+    # before any suite runs, so no PASS line is printed for zero checks
+    assert run(["verify"] + argv, capsys) == (1, "", f"error: {message}\n")
+
+
 def test_verify_failure_exits_2(monkeypatch, capsys):
     from chainbrackets import cli
     from chainbrackets.verify import SuiteResult

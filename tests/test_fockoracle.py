@@ -22,6 +22,7 @@ from chainbrackets.fockoracle import (
     _dot,
     _kernel_ints,
     _monomial_index,
+    _monomials,
     _product_on,
     _real_dot,
     _real_norm_sq,
@@ -39,6 +40,7 @@ from chainbrackets.fockoracle import (
     is_exact_eigenstate,
     number_operator,
     oracle_bracket,
+    overlap_squares,
     pair_annihilation_b,
     pair_annihilation_full,
     pair_creation_b,
@@ -47,6 +49,7 @@ from chainbrackets.fockoracle import (
     quasispin_minus,
     quasispin_plus,
     quasispin_zero,
+    s_number_operator,
     seed_state,
     so_generator,
     state_to_json,
@@ -71,19 +74,114 @@ def _added(a, b):
     return FockState(terms)
 
 
+def _scaled(psi, c):
+    """Reference product of a state with the GaussianRational c, coefficient by coefficient."""
+    return FockState({occ: x * c for occ, x in psi.terms.items()})
+
+
 def test_apply_number_operator():
     psi = monomial(1, 2, 0)
     assert apply(number_operator(2), psi) == psi.times(3)
 
 
 def test_apply_annihilates_empty_mode():
-    op = BosonOperator.single(gr(1), ann=((1, 1),))
+    op = BosonOperator([(1, 0, (), ((1, 1),))])
     assert apply(op, monomial(2, 0, 1)).is_zero
 
 
 def test_pair_creator_on_vacuum():
     out = apply(pair_creation_b(2), monomial(0, 0, 0))
     assert out == FockState({(0, 2, 0): gr(1), (0, 0, 2): gr(1)})
+
+
+def _ladder(psi, word):
+    """Reference: the word of single-mode steps applied right to left to the dict occ -> coefficient.
+
+    (j, 1) is b_j^dag, which raises occ_j; (j, -1) is b_j, which lowers occ_j
+    with the factor occ_j, because the monomials carry no normalization.
+    """
+    for j, step in reversed(word):
+        psi = {
+            occ[:j] + (occ[j] + step,) + occ[j + 1 :]: c if step > 0 else c.times(occ[j])
+            for occ, c in psi.items()
+            if step > 0 or occ[j]
+        }
+    return psi
+
+
+def _defining_formulas(nu):
+    """(name, constructed operator, [(coefficient, word), ...]) for every constructor at nu."""
+    one, i, half = gr(1), gr(0, 1), gr(rational(1, 2))
+    b = range(1, nu + 1)
+
+    def dag(j, p=1):
+        return ((j, 1),) * p
+
+    def ann(j, p=1):
+        return ((j, -1),) * p
+
+    pair_b_dag = [dag(j, 2) for j in b]
+    pair_b = [ann(j, 2) for j in b]
+    n_b = [dag(j) + ann(j) for j in b]
+    cases = [
+        (f"creation_power({m}, {p})", creation_power(m, p), [(one, dag(m, p))])
+        for m in range(nu + 1)
+        for p in (1, 2, 3)
+    ]
+    cases += [
+        ("pair_creation_b", pair_creation_b(nu), [(one, w) for w in pair_b_dag]),
+        ("pair_annihilation_b", pair_annihilation_b(nu), [(one, w) for w in pair_b]),
+        ("number_operator", number_operator(nu), [(one, w) for w in [dag(0) + ann(0)] + n_b]),
+        ("b_number_operator", b_number_operator(nu), [(one, w) for w in n_b]),
+        ("s_number_operator", s_number_operator(nu), [(one, dag(0) + ann(0))]),
+        (
+            "pair_exchange_operator",
+            pair_exchange_operator(nu),
+            [(half, w + ann(0, 2)) for w in pair_b_dag] + [(half, dag(0, 2) + w) for w in pair_b],
+        ),
+        ("quasispin_plus", quasispin_plus(nu), [(half, w) for w in pair_b_dag]),
+        ("quasispin_minus", quasispin_minus(nu), [(half, w) for w in pair_b]),
+        ("quasispin_zero", quasispin_zero(nu), [(half, w) for w in n_b] + [(gr(rational(nu, 4)), ())]),
+    ]
+    cases += [
+        (f"so_generator({j}, {k})", so_generator(nu, j, k), [(i, dag(j) + ann(k)), (-i, dag(k) + ann(j))])
+        for j in b
+        for k in b
+        if j < k
+    ]
+    for barred in (False, True):
+        sign = -one if barred else one
+        cases += [
+            (
+                f"pair_creation_full(barred={barred})",
+                pair_creation_full(nu, barred),
+                [(one, dag(0, 2))] + [(sign, w) for w in pair_b_dag],
+            ),
+            (
+                f"pair_annihilation_full(barred={barred})",
+                pair_annihilation_full(nu, barred),
+                [(one, ann(0, 2))] + [(sign, w) for w in pair_b],
+            ),
+        ]
+        for j in b:
+            up, down = dag(0) + ann(j), dag(j) + ann(0)
+            mixing = [(one, up), (one, down)] if barred else [(i, up), (-i, down)]
+            cases.append((f"d_generator({j}, barred={barred})", d_generator(nu, j, barred), mixing))
+    return cases
+
+
+@pytest.mark.parametrize("nu", [2, 3, 4])
+def test_every_operator_constructor_applies_its_defining_formula(nu):
+    cases = _defining_formulas(nu)
+    for name, op, formula in cases:
+        assert len(op.terms) == len(formula), name
+    for occ in _monomials(nu, 4):
+        for name, op, formula in cases:
+            expected = {}
+            for c, word in formula:
+                for key, x in _ladder({occ: gr(1)}, word).items():
+                    expected[key] = expected[key] + c * x if key in expected else c * x
+            assert apply(op, FockState({occ: gr(1)})) == FockState(expected), (name, occ)
 
 
 def test_inner_examples():
@@ -96,7 +194,7 @@ def test_inner_examples():
 
 
 def test_inner_conjugates_the_bra():
-    a = monomial(1, 0, 0).scaled(gr(0, 1))
+    a = FockState({(1, 0, 0): gr(0, 1)})
     b = monomial(1, 0, 0)
     assert inner(a, b) == gr(0, -1)
     assert inner(b, a) == gr(0, 1)
@@ -344,7 +442,7 @@ def _intrinsic_reference(nu, sigma, t, barred):
     lead = vec[0].inverse()
     out = FockState({})
     for c, v in zip(vec, span):
-        out = _added(out, v.scaled(c * lead))
+        out = _added(out, _scaled(v, c * lead))
     return out
 
 
@@ -474,8 +572,16 @@ def cold_caches():
 
 
 def test_casimir_rows_carry_complex_coefficients(monkeypatch, cold_caches):
-    # the square of a rotation plus a barred mixing has imaginary cross terms
-    g = so_generator(3, 1, 2) + d_generator(3, 1, barred=True)
+    # the square of a rotation plus a barred mixing has imaginary cross terms:
+    # g = i(b_1^dag b_2 - b_2^dag b_1) + s^dag b_1 + b_1^dag s
+    g = BosonOperator(
+        [
+            (0, 1, ((1, 1),), ((2, 1),)),
+            (0, -1, ((2, 1),), ((1, 1),)),
+            (1, 0, ((0, 1),), ((1, 1),)),
+            (1, 0, ((1, 1),), ((0, 1),)),
+        ]
+    )
     psi = _casimir_cases(3)[-1]
     expected = apply(g, apply(g, psi))
     assert any(im for _, im in expected.coeffs.values())
@@ -485,7 +591,8 @@ def test_casimir_rows_carry_complex_coefficients(monkeypatch, cold_caches):
 
 
 def test_casimir_rejects_a_generator_with_a_denominator(monkeypatch, cold_caches):
-    half = so_generator(3, 1, 2).scaled(gr(rational(1, 2)))
+    # (i/2)(b_1^dag b_2 - b_2^dag b_1): half of a rotation generator
+    half = BosonOperator([(0, 1, ((1, 1),), ((2, 1),)), (0, -1, ((2, 1),), ((1, 1),))], den=2)
     monkeypatch.setattr(fockoracle, "_casimir_generators", lambda nu, group, barred: (half,))
     with pytest.raises(KernelError):
         casimir_apply(3, seed_state(3, 1), CasimirGroup.SO_NU)
@@ -530,7 +637,7 @@ def test_product_on_equals_composed_apply():
 
 def _wrong_quasispin_zero(nu):
     """Q0 without its nu/4 shift: [Q+, Q-] = -2 Q0 no longer holds."""
-    return b_number_operator(nu).scaled(gr(rational(1, 2)))
+    return BosonOperator([(1, 0, ((j, 1),), ((j, 1),)) for j in range(1, nu + 1)], den=2)
 
 
 def _wrong_quasispin_plus(nu):
@@ -569,25 +676,29 @@ def _oracle_bracket_by_fractions(nu, N, n, sigma, tau, conv):
     return (1 if overlap.re > 0 else -1), square
 
 
-def _bracket_labels(nu_max, n_max):
-    """Every (nu, N, n, sigma, tau) with nu <= nu_max, N <= n_max; signed tau at nu = 2."""
+def _bracket_blocks(nu_max, n_max):
+    """Every (nu, N, tau, ns, sigmas) with nu <= nu_max, N <= n_max; signed tau at nu = 2."""
     for nu in range(2, nu_max + 1):
         for N in range(n_max + 1):
             for tau in range(-N if nu == 2 else 0, N + 1):
-                ns, sigmas = bracket_index_set(nu, N, tau)
-                for n in ns:
-                    for sigma in sigmas:
-                        yield nu, N, n, sigma, tau
+                yield (nu, N, tau) + bracket_index_set(nu, N, tau)
 
 
 def test_oracle_bracket_equals_the_fraction_reference():
     zeros = 0
-    for nu, N, n, sigma, tau in _bracket_labels(4, 8):
+    for nu, N, tau, ns, sigmas in _bracket_blocks(4, 8):
         for conv in Convention:
-            got = oracle_bracket(nu, N, n, sigma, tau, conv)
-            assert got == _oracle_bracket_by_fractions(nu, N, n, sigma, tau, conv)
-            assert type(got[1]) is type(rational(1))
-            zeros += got[0] == 0
+            # the whole d x d block of chain-I bras against chain-II kets, as the transform takes it
+            block = overlap_squares(
+                [build_chain1_state(nu, N, n, tau) for n in ns],
+                [build_chain2_state(nu, N, sigma, tau, conv) for sigma in sigmas],
+            )
+            for n, row in zip(ns, block):
+                for sigma, in_block in zip(sigmas, row):
+                    got = oracle_bracket(nu, N, n, sigma, tau, conv)
+                    assert got == in_block == _oracle_bracket_by_fractions(nu, N, n, sigma, tau, conv)
+                    assert type(got[1]) is type(in_block[1]) is type(rational(1))
+                    zeros += got[0] == 0
     assert zeros > 0
 
 
@@ -610,7 +721,7 @@ def test_oracle_bracket_rejects_a_complex_overlap(monkeypatch):
     assert oracle_bracket(nu, N, n, sigma, tau)[0] != 0
     two = build_chain2_state(nu, N, sigma, tau)
     # (1 + i) times the state: same norm up to the factor 2, complex overlap
-    rotated = NormalizedState(two.state.scaled(gr(1, 1)), two.norm_sq * 2)
+    rotated = NormalizedState(_scaled(two.state, gr(1, 1)), two.norm_sq * 2)
     monkeypatch.setattr(fockoracle, "build_chain2_state", lambda *args, **kwargs: rotated)
     with pytest.raises(KernelError, match="imaginary part"):
         oracle_bracket(nu, N, n, sigma, tau)

@@ -12,11 +12,12 @@ from chainbrackets.exactnum import GaussianRational, SurdSumError, SurdValue, ra
 from chainbrackets.fockoracle import (
     FockState,
     KernelError,
+    NormalizedState,
     apply,
     build_chain1_state,
     build_chain2_state,
     inner,
-    real_inner_block,
+    overlap_squares,
 )
 from chainbrackets.labels import bracket_index_set
 from chainbrackets.transform import (
@@ -242,19 +243,24 @@ def test_oracle_route_matches_an_inner_reference():
         assert deformed_matrix_oracle(*block).entries == _inner_reference(*block), block
 
 
-def test_real_inner_block_scales_and_rejects_an_imaginary_overlap():
+def test_overlap_squares_scale_and_reject_an_imaginary_overlap():
     bra = FockState({(0, 2, 0): GaussianRational.of(1)})
     ket = FockState({(0, 2, 0): GaussianRational.of(rational(5, 3))})
-    # <bra|ket> = 2! * 5/3 = block * bra.scale * ket.scale with ket.scale = 1/3
-    assert real_inner_block([bra], [bra, ket]) == [[2, 10]]
+    # <bra|ket> = 2! * 5/3 with ket.scale = 1/3; unit norms leave the squared overlap itself
+    raw = [NormalizedState(bra, 1), NormalizedState(ket, 1), NormalizedState(ket.times(-1), 1)]
+    assert overlap_squares(raw[:1], raw) == [[(1, 4), (1, rational(100, 9)), (-1, rational(100, 9))]]
     assert inner(bra, ket) == GaussianRational.of(rational(10, 3))
+    # the true norms <bra|bra> = 2 and <ket|ket> = 50/9 make the states parallel unit vectors
+    unit = [NormalizedState(bra, 2), NormalizedState(ket, rational(50, 9))]
+    assert overlap_squares(unit, unit) == [[(1, 1), (1, 1)], [(1, 1), (1, 1)]]
     # complex coefficients with a real overlap: <(1+i)m|(1+i)m> = 2 * 2!
-    complex_ = FockState({(0, 2, 0): GaussianRational.of(1, 1)})
-    assert real_inner_block([complex_], [complex_]) == [[4]]
+    complex_ = NormalizedState(FockState({(0, 2, 0): GaussianRational.of(1, 1)}), 1)
+    assert overlap_squares([complex_], [complex_]) == [[(1, 16)]]
     # <i m|(3/2) m> = -i * 2! * 3/2, so the imaginary part is -3
-    imaginary = FockState({(0, 2, 0): GaussianRational.of(0, 1)})
+    imaginary = NormalizedState(FockState({(0, 2, 0): GaussianRational.of(0, 1)}), 1)
+    half = NormalizedState(FockState({(0, 2, 0): GaussianRational.of(rational(3, 2))}), 1)
     with pytest.raises(KernelError, match="imaginary part -3$"):
-        real_inner_block([imaginary], [FockState({(0, 2, 0): GaussianRational.of(rational(3, 2))})])
+        overlap_squares([imaginary], [half])
 
 
 def test_pairing_operator_is_cached_per_nu():
