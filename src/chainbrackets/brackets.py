@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 from .exactnum import (
@@ -32,7 +31,15 @@ from .exactnum import (
     rational,
     signed_half_power,
 )
-from .labels import LabelError, bracket_index_set, check_chain1, check_chain2, check_dimension
+from .labels import (
+    Convention,
+    LabelError,
+    as_convention,
+    bracket_index_set,
+    check_chain1,
+    check_chain2,
+    check_dimension,
+)
 
 __all__ = [
     "Convention",
@@ -49,19 +56,6 @@ __all__ = [
     "gegenbauer_coeffs",
     "verify_F_via_gegenbauer",
 ]
-
-
-class Convention(Enum):
-    """Choice of deformed-chain realization; they differ by a pair-operator sign."""
-
-    STANDARD = "standard"
-    BARRED = "barred"
-
-
-def as_convention(value) -> Convention:
-    if isinstance(value, Convention):
-        return value
-    return Convention(value)
 
 
 def coeff_B(nu: int, n: int, tau: int) -> SurdValue:
@@ -120,9 +114,27 @@ def coeff_F(nu: int, sigma: int, tau: int, k: int) -> SurdValue:
         raise DomainError(
             f"k={k} outside 0 <= k <= floor((sigma-tau)/2) = {(sigma - tau) // 2}"
         )
-    q = rational((-1) ** k * double_factorial(2 * sigma + nu - 3 - 2 * k), 2**k)
-    q /= factorial(sigma - tau - 2 * k) * factorial(k)
+    q = rational(_f_weights(nu, sigma, tau)[k], 2 ** ((sigma - tau) // 2) * factorial(sigma - tau))
     return SurdValue.sqrt(_coeff_F_norm_sq(nu, sigma, tau)).scale(q)
+
+
+def _f_weights(nu: int, sigma: int, t: int) -> list[int]:
+    """The integers w_k = F_k/Fnorm * 2**k_hi (sigma-t)!, k = 0..k_hi = (sigma-t)//2.
+
+    w_k = (-1)**k (2 sigma+nu-3-2k)!! 2**(k_hi-k) (sigma-t)!/((sigma-t-2k)! k!),
+    since (sigma-t)!/((sigma-t-2k)! k!) = C(sigma-t, 2k) (2k)!/k!.  Built from
+    k_hi down by running products; top - 2 k_hi is 0 or 1.
+    """
+    top = sigma - t
+    k_hi = top // 2
+    weights = [0] * (k_hi + 1)
+    w = double_factorial(2 * sigma + nu - 3 - 2 * k_hi) * (factorial(top) // factorial(k_hi))
+    for k in range(k_hi, 0, -1):
+        weights[k] = -w if k % 2 else w
+        # |w_(k-1)| / |w_k| = 2 (2 sigma+nu-1-2k) k / ((top-2k+2)(top-2k+1)), exactly
+        w = w * 2 * (2 * sigma + nu - 1 - 2 * k) * k // ((top - 2 * k + 2) * (top - 2 * k + 1))
+    weights[0] = w
+    return weights
 
 
 def _validate_bracket_labels(nu: int, N: int, n: int, sigma: int, tau: int) -> int:
@@ -151,7 +163,8 @@ def _block_core(
     sqrt(row_sq[a] * col_sq[i]) * core[a][i] for the given rows and columns.
     row_sq[a] = (N-n)!/B(n)**2 is a positive int (see transform.operator_core).
     core[a][i] is the signed integer k-sum
-    den_i * sum_k F_k/Fnorm * C(k + (N-sigma)/2, (n-t)/2), den_i = 2**k_hi (sigma-t)!,
+    den_i * sum_k F_k/Fnorm * C(k + (N-sigma)/2, (n-t)/2) = sum_k w_k C(...),
+    den_i = 2**k_hi (sigma-t)! with w_k = _f_weights(nu, sigma, t)[k],
     divided by the content g_i (gcd) of its column, so every nonzero column is
     primitive.  The positive rational col_sq[i] = A(sigma)**2 Fnorm(sigma)**2
     g_i**2 / den_i**2 carries the rest.  The signs of the ladder normalizations
@@ -170,17 +183,7 @@ def _block_core(
         h = (N - sigma) // 2
         top = sigma - t
         k_hi = top // 2
-        # F_k/Fnorm times den = 2**k_hi * (sigma-t)!: the integer
-        # w_k = (-1)**k (2 sigma+nu-3-2k)!! 2**(k_hi-k) (sigma-t)!/((sigma-t-2k)! k!),
-        # since (sigma-t)!/((sigma-t-2k)! k!) = C(sigma-t, 2k) (2k)!/k!.  Built
-        # from k_hi down by running products; top - 2 k_hi is 0 or 1.
-        weights = [0] * (k_hi + 1)
-        w = double_factorial(2 * sigma + nu - 3 - 2 * k_hi) * (factorial(top) // factorial(k_hi))
-        for k in range(k_hi, 0, -1):
-            weights[k] = -w if k % 2 else w
-            # |w_(k-1)| / |w_k| = 2 (2 sigma+nu-1-2k) k / ((top-2k+2)(top-2k+1)), exactly
-            w = w * 2 * (2 * sigma + nu - 1 - 2 * k) * k // ((top - 2 * k + 2) * (top - 2 * k + 1))
-        weights[0] = w
+        weights = _f_weights(nu, sigma, t)
         column = []
         for n in ns:
             m = (n - t) // 2

@@ -2,9 +2,9 @@
 
 Both chains' basis states are constructed here from first principles: ladder
 operators acting on a common seed, and exact kernel solving for the intrinsic
-deformed states.  None of the closed forms from chainbrackets.brackets enter
-the construction, so overlaps of these states are the ground truth against
-which every closed form is certified.
+deformed states.  No closed form enters: of this package the module imports
+only exactnum and labels, so overlaps of these states are the ground truth
+against which every closed form is certified.
 
 All arithmetic is exact and runs on Python ints; no floating point anywhere.
 A state stores each monomial's coefficient as a Gaussian integer (re, im)
@@ -12,12 +12,11 @@ under one rational scale for the whole state.  Every operator is written as
 Gaussian integers over one integer denominator, so `apply` and the overlaps
 multiply integers and touch the scale once per call.  The intrinsic deformed
 states come from fraction-free (Bareiss) elimination over the Gaussian
-integers.  Each basis state is one `apply` from its cached neighbour on a
-ladder (the b-space pair ladder on the seed, the full pair ladder on the
-intrinsic state).  Each overlap is one weighted integer dot, and one rule
-(`_signed_square`) turns it into the (sign, square) pair that both
-`oracle_bracket` and `overlap_squares` return.  No other module reads a
-state's integers or scale.
+integers.  The two state builders are the ladders: each state is cached
+once, in its builder, and is one `apply` from the cached state below it.
+Each overlap is one weighted integer dot, and one rule (`_signed_square`)
+turns it into the (sign, square) pair that both `oracle_bracket` and
+`overlap_squares` return.  No other module reads a state's integers or scale.
 """
 
 from __future__ import annotations
@@ -28,9 +27,15 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, wraps
 
-from .brackets import Convention, as_convention
 from .exactnum import GaussianRational, rational
-from .labels import LabelError, check_chain1, check_chain2, check_dimension
+from .labels import (
+    Convention,
+    LabelError,
+    as_convention,
+    check_chain1,
+    check_chain2,
+    check_dimension,
+)
 
 __all__ = [
     "KernelError",
@@ -439,7 +444,6 @@ def quasispin_zero(nu: int) -> BosonOperator:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def seed_state(nu: int, tau: int) -> FockState:
     """(b_1^dag + i b_2^dag)^tau on the vacuum: the common seniority-tau seed.
 
@@ -547,29 +551,23 @@ def _chain1_label(nu: int, N: int, n: int, tau: int) -> tuple:
     return nu, N, n, abs(tau)
 
 
-@lru_cache(maxsize=None)
-def _b_ladder(nu: int, t: int, q: int) -> FockState:
-    """(P_b^dag)^q on the seniority-t seed: one apply onto the cached rung q - 1."""
-    if not q:
-        return seed_state(nu, t)
-    return apply(pair_creation_b(nu), _b_ladder(nu, t, q - 1))
-
-
 @_cached_on(_chain1_label)
 def build_chain1_state(nu: int, N: int, n: int, tau: int) -> NormalizedState:
     """Oscillator-chain state: scalar bosons on top of the pair ladder on the seed.
 
-    The state depends on |tau| only, and is cached on it.  One apply of
-    s^dag^(N-n) onto the shared b-space ladder (P_b^dag)^((n-tau)/2) seed,
-    without any closed-form normalization: the ladder phase (-1)^((n-tau)/2)
-    is applied and the exact norm is computed afterwards.
+    The state depends on |tau| only, and is cached on it.  At N = n = tau it
+    is the seed; at N = n, -P_b^dag on the state at (n - 2, n - 2), so the
+    ladder phase (-1)^((n-tau)/2) rides along; above, s^dag^(N-n) on the
+    state at (n, n).  No closed-form normalization: the exact norm is
+    computed afterwards.
     """
-    q = (n - tau) // 2
-    psi = _b_ladder(nu, tau, q)
     if N > n:
-        psi = apply(creation_power(0, N - n), psi)
-    if q % 2:
-        psi = psi.times(-1)
+        psi = apply(creation_power(0, N - n), build_chain1_state(nu, n, n, tau).state)
+    elif n > tau:
+        below = build_chain1_state(nu, n - 2, n - 2, tau).state
+        psi = apply(pair_creation_b(nu), below).times(-1)
+    else:
+        psi = seed_state(nu, tau)
     return NormalizedState(psi, _real_norm_sq(psi))
 
 
@@ -643,24 +641,25 @@ def _kernel_ints(columns: list[dict]) -> tuple[list[tuple[int, int]], int]:
     return vec, f0
 
 
-@lru_cache(maxsize=None)
 def _chain2_intrinsic(nu: int, sigma: int, t: int, barred: bool) -> FockState:
     """Unique sigma-boson seed-built state killed by the full pair annihilator.
 
     Solved by fraction-free elimination over the span of
     (scalar^p)(pair-creator^q) seed with p + 2q = sigma - t, each element one
-    apply of s^dag^p onto the shared b-space ladder, and normalized so the
-    span's first element (q = 0) has coefficient 1; phase fixed so the
-    coefficient of the pure scalar-power-times-seed monomial is positive.
+    apply of s^dag^p onto the cached chain-I state at (t + 2q, t + 2q), and
+    normalized so the span's first element (q = 0) has coefficient 1; phase
+    fixed so the coefficient of the pure scalar-power-times-seed monomial is
+    positive.
     """
     span = []
     for q in range((sigma - t) // 2 + 1):
         p = sigma - t - 2 * q
-        base = _b_ladder(nu, t, q)
+        base = build_chain1_state(nu, t + 2 * q, t + 2 * q, t).state
         span.append(apply(creation_power(0, p), base) if p else base)
     down = pair_annihilation_full(nu, barred)
     # apply maps integer parts to integer parts whatever the scale, so the
     # kernel of the images' integer parts combines the spans' integer parts
+    # (the ladder phases sit in the scales; only span[0]'s, the seed's 1, enters)
     vec, _ = _kernel_ints([apply(down, v).coeffs for v in span])
     xr, xi = vec[0]
     if not (xr or xi):
@@ -690,15 +689,6 @@ def _chain2_label(
     return nu, N, sigma, abs(tau), as_convention(convention)
 
 
-@lru_cache(maxsize=None)
-def _chain2_ladder(nu: int, sigma: int, t: int, barred: bool, k: int) -> FockState:
-    """(-1)^k (P^dag)^k on the intrinsic state: -P^dag applied to the cached rung k - 1."""
-    if not k:
-        return _chain2_intrinsic(nu, sigma, t, barred)
-    below = _chain2_ladder(nu, sigma, t, barred, k - 1)
-    return apply(pair_creation_full(nu, barred), below).times(-1)
-
-
 @_cached_on(_chain2_label)
 def build_chain2_state(
     nu: int, N: int, sigma: int, tau: int, convention: Convention = Convention.STANDARD
@@ -706,11 +696,17 @@ def build_chain2_state(
     """Deformed-chain state: full pair ladder on the intrinsic kernel state.
 
     The state depends on |tau| and the convention only, and is cached on
-    them.  Independent of every closed form.  The ladder phase
-    (-1)^((N-sigma)/2) rides along the ladder, each rung one apply of -P^dag
-    onto the cached state at N - 2; the exact norm is computed afterwards.
+    them.  Independent of every closed form.  At N = sigma it is the
+    intrinsic kernel state; above, the ladder phase (-1)^((N-sigma)/2) rides
+    along the ladder, each rung one apply of -P^dag onto the cached state at
+    N - 2.  The exact norm is computed afterwards.
     """
-    psi = _chain2_ladder(nu, sigma, tau, convention is Convention.BARRED, (N - sigma) // 2)
+    barred = convention is Convention.BARRED
+    if N == sigma:
+        psi = _chain2_intrinsic(nu, sigma, tau, barred)
+    else:
+        below = build_chain2_state(nu, N - 2, sigma, tau, convention).state
+        psi = apply(pair_creation_full(nu, barred), below).times(-1)
     return NormalizedState(psi, _real_norm_sq(psi))
 
 
@@ -874,6 +870,8 @@ def su11_commutator_check(nu: int, cutoff: int = 6) -> bool:
     commutes with rotation and mixing generators alike.
     """
     check_dimension(nu)
+    if cutoff < 0:
+        raise LabelError(f"cutoff={cutoff} must be nonnegative")
     qp, qm, q0 = quasispin_plus(nu), quasispin_minus(nu), quasispin_zero(nu)
     rot = _casimir_generators(nu, CasimirGroup.SO_NU, False)
     mix = _casimir_generators(nu, CasimirGroup.SO_NU_PLUS_ONE, False)[len(rot) :]
@@ -915,12 +913,8 @@ def state_to_json(psi: FockState) -> list[dict]:
 
 
 _CACHED = (
-    seed_state,
     build_chain1_state,
     build_chain2_state,
-    _b_ladder,
-    _chain2_ladder,
-    _chain2_intrinsic,
     _casimir_generators,
     _casimir_rows,
     _monomial_index,
@@ -940,6 +934,6 @@ _CACHED = (
 
 
 def clear_caches() -> None:
-    """Drop memoized states and operators, e.g. to free memory or to start from cold caches."""
+    """Drop memoized states (one cache per chain builder), Casimir rows and operators."""
     for fn in _CACHED:
         fn.cache_clear()

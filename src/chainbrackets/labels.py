@@ -10,10 +10,13 @@ conjugate one-dimensional irreps; brackets between them vanish).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 from .exactnum import rational
 
 __all__ = [
+    "Convention",
+    "as_convention",
     "UnsupportedDimensionError",
     "LabelError",
     "ChainILabel",
@@ -27,6 +30,19 @@ __all__ = [
     "bracket_index_set",
     "quasispin_labels",
 ]
+
+
+class Convention(Enum):
+    """Choice of deformed-chain realization; they differ by a pair-operator sign."""
+
+    STANDARD = "standard"
+    BARRED = "barred"
+
+
+def as_convention(value) -> Convention:
+    if isinstance(value, Convention):
+        return value
+    return Convention(value)
 
 
 class UnsupportedDimensionError(ValueError):

@@ -30,7 +30,13 @@ from .fockoracle import (
     oracle_bracket,
     su11_commutator_check,
 )
-from .labels import bracket_index_set, enumerate_chain1, enumerate_chain2
+from .labels import (
+    LabelError,
+    bracket_index_set,
+    check_dimension,
+    enumerate_chain1,
+    enumerate_chain2,
+)
 from .transform import (
     OperatorSpec,
     deformed_matrix,
@@ -309,10 +315,7 @@ CLI_SUITES = {
     ],
     "gegenbauer": lambda nu_max, n_max: [suite_gegenbauer(nu_max)],
     "su11": lambda nu_max, n_max: [
-        suite_su11(
-            nus=tuple(nu for nu in (2, 3, 5) if nu <= max(nu_max, 2)),
-            cutoff=min(n_max, 6),
-        )
+        suite_su11(nus=tuple(nu for nu in (2, 3, 5) if nu <= nu_max), cutoff=min(n_max, 6))
     ],
     "barred": lambda nu_max, n_max: [suite_barred_sign(nu_max, n_max)],
     "transform": lambda nu_max, n_max: [suite_transform(nu_max, n_max)],
@@ -320,7 +323,11 @@ CLI_SUITES = {
 
 
 def run_cli_suite(name: str, nu_max: int, n_max: int) -> list[SuiteResult]:
-    """Run the command-line suite `name`; an unknown name is a ValueError."""
+    """Run the command-line suite `name`; an unknown name or an empty range is a ValueError."""
     if name not in CLI_SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(CLI_SUITES)}")
+    # an empty range (nu_max < 2 or n_max < 0) would report PASS for zero checks
+    check_dimension(nu_max)
+    if n_max < 0:
+        raise LabelError(f"N={n_max} must be nonnegative")
     return CLI_SUITES[name](nu_max, n_max)

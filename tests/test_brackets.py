@@ -337,6 +337,24 @@ def test_gegenbauer_value_at_one():
             assert sum(coeffs) == pochhammer(2 * lam, m) / factorial(m)
 
 
+def test_a_perturbed_table_weight_fails_the_gegenbauer_suite(monkeypatch):
+    from chainbrackets import brackets
+    from chainbrackets.verify import suite_gegenbauer
+
+    real = brackets._f_weights
+    good = table(3, 6, 0)
+
+    def perturbed(nu, sigma, t):
+        weights = real(nu, sigma, t)
+        weights[-1] *= 2
+        return weights
+
+    monkeypatch.setattr(brackets, "_f_weights", perturbed)
+    # the tables read the perturbed weights, and the suite certifies those weights
+    assert table(3, 6, 0).core != good.core
+    assert not suite_gegenbauer(3).passed
+
+
 def test_verify_F_examples():
     assert verify_F_via_gegenbauer(2, 3, 3)
     assert verify_F_via_gegenbauer(2, 2, 0)

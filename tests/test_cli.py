@@ -8,7 +8,8 @@ import pytest
 
 from chainbrackets.cli import main
 from chainbrackets.exactnum import SurdSumError
-from chainbrackets.fockoracle import KernelError
+from chainbrackets.fockoracle import KernelError, su11_commutator_check
+from chainbrackets.verify import run_cli_suite
 
 EXPECTED_TABLE_JSON = """{
   "format_version": 1,
@@ -179,9 +180,19 @@ def test_verify_suite_subset(capsys):
         (["--nu-max", "1", "--suites", "orth,oracle,transform"], "dimension nu must be >= 2, got 1"),
         (["--nu-max", "1"], "dimension nu must be >= 2, got 1"),
         (["--N-max", "-3", "--suites", "su11"], "N=-3 must be nonnegative"),
+        # the library entry points refuse the same ranges: (function, *arguments)
+        ((run_cli_suite, "oracle", 1, 6), "dimension nu must be >= 2, got 1"),
+        ((run_cli_suite, "orth", 3, -2), "N=-2 must be nonnegative"),
+        ((su11_commutator_check, 3, -3), "cutoff=-3 must be nonnegative"),
     ],
 )
 def test_verify_rejects_a_range_with_nothing_to_check(capsys, argv, message):
+    if isinstance(argv, tuple):
+        fn, *args = argv
+        with pytest.raises(ValueError) as raised:
+            fn(*args)
+        assert str(raised.value) == message
+        return
     # before any suite runs, so no PASS line is printed for zero checks
     assert run(["verify"] + argv, capsys) == (1, "", f"error: {message}\n")
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -478,11 +480,13 @@ def test_state_caches_are_keyed_on_the_canonical_label():
     ]
     assert all(st is calls[0] for st in calls)
     info = build_chain2_state.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (1, 1, 4)
+    # the rung below, at N = 2, is its own entry, missed once on the way up
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 4)
     assert build_chain2_state(2, 4, 2, -2, "barred") is build_chain2_state(2, 4, 2, 2, Convention.BARRED)
     assert build_chain2_state(2, 4, 2, 2, "barred") is not calls[0]
     assert build_chain1_state(2, 4, 2, -2) is build_chain1_state(2, 4, 2, 2)
-    assert build_chain1_state.cache_info().currsize == 1
+    # (4, 2, 2) is s^dag^2 on its own entry at (2, 2, 2), the seed
+    assert build_chain1_state.cache_info().currsize == 2
     # the signed label is validated before the cache sees |tau|
     with pytest.raises(LabelError):
         build_chain2_state(3, 4, 2, -2)
@@ -812,13 +816,41 @@ def test_each_ladder_rung_costs_one_apply(monkeypatch, cold_caches, conv):
     assert ops == [pair_creation_b(nu)]
 
 
+def test_every_rung_below_a_state_is_a_builder_cache_hit(cold_caches):
+    build_chain2_state(3, 10, 2, 0)
+    before = build_chain1_state.cache_info(), build_chain2_state.cache_info()
+    for N in range(2, 9, 2):
+        build_chain2_state(3, N, 2, 0)
+    # the kernel's span at sigma = 2, tau = 0 is s^dag^2 seed and the chain-I (2, 2) state
+    for n in (0, 2):
+        build_chain1_state(3, n, n, 0)
+    one, two = build_chain1_state.cache_info(), build_chain2_state.cache_info()
+    assert (one.misses, two.misses) == (before[0].misses, before[1].misses)
+    assert (one.hits - before[0].hits, two.hits - before[1].hits) == (2, 4)
+
+
+def test_the_oracle_imports_no_closed_form_module():
+    tree = ast.parse(Path(fockoracle.__file__).read_text(encoding="utf-8"))
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            (relative if node.level else absolute).add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute.update(alias.name for alias in node.names)
+    assert relative == {"exactnum", "labels"}
+    assert not {name for name in absolute if name.split(".")[0] == "chainbrackets"}
+
+
 def test_clear_caches_empties_every_cache():
     build_chain1_state(3, 6, 4, 2)
     build_chain2_state(3, 6, 4, 2, Convention.BARRED)
     casimir_apply(3, seed_state(3, 2), CasimirGroup.SO_NU_PLUS_ONE)
     su11_commutator_check(2, 2)
     caches = {name: fn for name, fn in vars(fockoracle).items() if hasattr(fn, "cache_info")}
-    assert {"_b_ladder", "_chain2_ladder", "build_chain2_state"} <= set(caches)
+    assert {"build_chain1_state", "build_chain2_state", "_casimir_rows"} <= set(caches)
+    # each state is cached once, in its builder: the seed and the intrinsic
+    # state are the builders' bottom rungs, not caches of their own
+    assert not {"seed_state", "_chain2_intrinsic"} & set(caches)
     assert any(fn.cache_info().currsize for fn in caches.values())
     clear_caches()
     assert {name: fn.cache_info().currsize for name, fn in caches.items()} == dict.fromkeys(caches, 0)
