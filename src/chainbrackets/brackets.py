@@ -34,7 +34,6 @@ from .exactnum import (
 from .labels import (
     Convention,
     LabelError,
-    as_convention,
     bracket_index_set,
     check_chain1,
     check_chain2,
@@ -222,7 +221,7 @@ def bracket(
     Factored route: sqrt((N-n)!) * A/B * sum_k F_k * C(k + (N-sigma)/2, (n-tau)/2),
     accumulated as an exact rational sum times one surd prefactor.
     """
-    convention = as_convention(convention)
+    convention = Convention(convention)
     t = _validate_bracket_labels(nu, N, n, sigma, tau)
     (u_sq,), (v_sq,), ((q,),) = _block_core(nu, N, t, convention, (n,), (sigma,))
     return _entry(u_sq, v_sq, q)
@@ -399,7 +398,7 @@ def table(
     convention: Convention | str = Convention.STANDARD,
 ) -> BracketTable:
     """All brackets for fixed (nu, N, tau) as an exactly orthogonal matrix."""
-    convention = as_convention(convention)
+    convention = Convention(convention)
     ns, sigmas = bracket_index_set(nu, N, tau)
     row_sq, col_sq, core = _block_core(nu, N, abs(tau), convention, ns, sigmas)
     return BracketTable(nu, N, tau, convention, ns, sigmas, row_sq, col_sq, core)

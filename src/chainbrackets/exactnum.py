@@ -118,17 +118,13 @@ def sqrt_to_float(q) -> float:
 
 
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts: the value `inner` returns."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re, im):
         self.re = re
         self.im = im
-
-    @classmethod
-    def of(cls, re=0, im=0) -> "GaussianRational":
-        return cls(rational(re), rational(im))
 
     @property
     def is_zero(self) -> bool:
@@ -140,27 +136,11 @@ class GaussianRational:
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    def times(self, scalar) -> "GaussianRational":
-        """Product with an exact real scalar (int or rational)."""
-        return GaussianRational(self.re * scalar, self.im * scalar)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
-        if not norm:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / norm, -self.im / norm)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):

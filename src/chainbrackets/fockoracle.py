@@ -7,22 +7,22 @@ only exactnum and labels, so overlaps of these states are the ground truth
 against which every closed form is certified.
 
 All arithmetic is exact and runs on Python ints; no floating point anywhere.
-A state stores each monomial's coefficient as a Gaussian integer (re, im)
-under one rational scale for the whole state.  Every operator is written as
-Gaussian integers over one integer denominator, so `apply` and the overlaps
-multiply integers and touch the scale once per call.  The intrinsic deformed
-states come from fraction-free (Bareiss) elimination over the Gaussian
-integers.  The two state builders are the ladders: each state is cached
-once, in its builder, and is one `apply` from the cached state below it.
-Each overlap is one weighted integer dot, and one rule (`_signed_square`)
-turns it into the (sign, square) pair that both `oracle_bracket` and
-`overlap_squares` return.  No other module reads a state's integers or scale.
+States and operators share one representation: Gaussian integers (re, im)
+under one rational factor for the whole value, `FockState(terms, scale)` and
+`BosonOperator(terms, den)`.  So `apply` and the overlaps multiply integers
+and touch the scale once per call; the only GaussianRational here is the
+value `inner` returns.  The intrinsic deformed states come from
+fraction-free (Bareiss) elimination over the Gaussian integers.  The two
+state builders are the ladders: each state is cached once, in its builder,
+and is one `apply` from the cached state below it.  Each overlap is one
+weighted integer dot, and one rule (`_signed_square`) turns it into the
+(sign, square) pair that both `oracle_bracket` and `overlap_squares` return.
+No other module reads a state's integers or scale.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, wraps
@@ -31,7 +31,6 @@ from .exactnum import GaussianRational, rational
 from .labels import (
     Convention,
     LabelError,
-    as_convention,
     check_chain1,
     check_chain2,
     check_dimension,
@@ -71,19 +70,6 @@ class CasimirGroup(Enum):
     SO_NU_PLUS_ONE = "so_nu_plus_one"
 
 
-def _int_over(q, den: int) -> int:
-    """The integer q * den, for a rational q whose denominator divides den."""
-    return q.numerator * (den // q.denominator)
-
-
-def _common_den(values) -> int:
-    """Least common denominator of the real and imaginary parts of Gaussian rationals."""
-    den = 1
-    for c in values:
-        den = math.lcm(den, c.re.denominator, c.im.denominator)
-    return den
-
-
 def _multipliers(sa, sb) -> tuple[int, int, object]:
     """Integers ma, mb and a rational c with sa = ma * c and sb = mb * c."""
     if sa == sb:
@@ -95,86 +81,51 @@ def _multipliers(sa, sb) -> tuple[int, int, object]:
     return na // g * (lcm // da), nb // g * (lcm // db), rational(g, lcm)
 
 
-class _Terms(Mapping):
-    """Read-only view of a state's coefficients, each built as a GaussianRational on lookup."""
-
-    __slots__ = ("_coeffs", "_scale")
-
-    def __init__(self, coeffs: dict, scale):
-        self._coeffs = coeffs
-        self._scale = scale
-
-    def __getitem__(self, occ) -> GaussianRational:
-        re, im = self._coeffs[occ]
-        return GaussianRational(re * self._scale, im * self._scale)
-
-    def __iter__(self):
-        return iter(self._coeffs)
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-
 class FockState:
     """Finite linear combination of occupation monomials with exact complex coefficients.
 
     Keys are (nu+1)-tuples of occupation numbers, mode 0 being the scalar
     boson.  Monomials are unnormalized products of creation operators on the
-    vacuum, so <occ|occ> = prod occ_j!.  The coefficient of occ is
-    (re + i im) * scale with coeffs[occ] = (re, im) a nonzero Gaussian integer
-    and scale a nonzero rational shared by the whole state; `terms` views the
-    coefficients as GaussianRationals.  Instances are treated as immutable.
+    vacuum, so <occ|occ> = prod occ_j!.  Built from terms {occ: (re, im)} of
+    Gaussian integers and a rational scale shared by the whole state, as a
+    BosonOperator is built from Gaussian integers over one denominator: the
+    coefficient of occ is (re + i im) * scale.  The constructor drops zero
+    pairs, so `terms` holds nonzero pairs only and len(terms) is the monomial
+    count.  Instances are treated as immutable.
     """
 
-    __slots__ = ("coeffs", "scale")
+    __slots__ = ("terms", "scale")
 
-    def __init__(self, terms: dict):
-        den = _common_den(terms.values())
-        self.coeffs = {
-            occ: (_int_over(c.re, den), _int_over(c.im, den))
-            for occ, c in terms.items()
-            if not c.is_zero
-        }
-        self.scale = rational(1, den)
-
-    @classmethod
-    def _of(cls, coeffs: dict, scale) -> "FockState":
-        """A state from nonzero Gaussian-integer coefficients and their common scale."""
-        psi = object.__new__(cls)
-        psi.coeffs = coeffs
-        psi.scale = scale
-        return psi
-
-    @property
-    def terms(self) -> Mapping:
-        return _Terms(self.coeffs, self.scale)
+    def __init__(self, terms: dict, scale=_ONE):
+        self.terms = {occ: c for occ, c in terms.items() if c[0] or c[1]}
+        self.scale = scale
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def canonical(self) -> "FockState":
         """The same state with coprime integer parts and a positive scale."""
-        if not self.coeffs:
+        if not self.terms:
             return self
-        g = math.gcd(*(x for pair in self.coeffs.values() for x in pair))
+        g = math.gcd(*(x for pair in self.terms.values() for x in pair))
         if self.scale < 0:
             g = -g
         if g == 1:
             return self
-        coeffs = {occ: (re // g, im // g) for occ, (re, im) in self.coeffs.items()}
-        return FockState._of(coeffs, self.scale * g)
+        terms = {occ: (re // g, im // g) for occ, (re, im) in self.terms.items()}
+        return FockState(terms, self.scale * g)
 
     def times(self, scalar) -> "FockState":
         """Scale by an exact real scalar (int or rational)."""
-        if not scalar or not self.coeffs:
-            return FockState._of({}, _ONE)
-        return FockState._of(self.coeffs, self.scale * scalar)
+        if not scalar or not self.terms:
+            return FockState({})
+        return FockState(self.terms, self.scale * scalar)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FockState):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.terms, other.terms
         if len(a) != len(b):
             return False
         if not a:
@@ -188,10 +139,10 @@ class FockState:
 
     def __hash__(self):
         c = self.canonical()
-        return hash((frozenset(c.coeffs.items()), c.scale if c.coeffs else None))
+        return hash((frozenset(c.terms.items()), c.scale if c.terms else None))
 
     def __repr__(self) -> str:
-        return f"FockState({len(self.coeffs)} monomials)"
+        return f"FockState({len(self.terms)} monomials)"
 
 
 class BosonOperator:
@@ -229,7 +180,7 @@ def apply(op: BosonOperator, psi: FockState) -> FockState:
     out: dict = {}
     get = out.get
     perm = math.perm
-    items = psi.coeffs.items()
+    items = psi.terms.items()
     for cr, ci, ann, moves in op.terms:
         for occ, (ar, ai) in items:
             factor = 1
@@ -251,8 +202,7 @@ def apply(op: BosonOperator, psi: FockState) -> FockState:
                 vi = ai * factor
             prev = get(occ)
             out[occ] = (vr, vi) if prev is None else (prev[0] + vr, prev[1] + vi)
-    coeffs = {occ: c for occ, c in out.items() if c[0] or c[1]}
-    return FockState._of(coeffs, psi.scale if op.den == 1 else psi.scale / op.den)
+    return FockState(out, psi.scale if op.den == 1 else psi.scale / op.den)
 
 
 def _product_on(a: BosonOperator, b: BosonOperator, occ: tuple, sign: int, out: dict) -> None:
@@ -299,7 +249,7 @@ def _weighted(psi: FockState) -> list[tuple]:
     """psi's monomials as (occ, re * w, im * w), w = prod occ_j! = <occ|occ>."""
     factorial = math.factorial
     out = []
-    for occ, (re, im) in psi.coeffs.items():
+    for occ, (re, im) in psi.terms.items():
         weight = 1
         for x in occ:
             if x > 1:
@@ -313,7 +263,7 @@ def _dot(bra: list[tuple], phi: FockState) -> tuple[int, int]:
 
     bra is _weighted(psi); no rational is formed.
     """
-    get = phi.coeffs.get
+    get = phi.terms.get
     re = im = 0
     for occ, ar, ai in bra:
         other = get(occ)
@@ -453,14 +403,14 @@ def seed_state(nu: int, tau: int) -> FockState:
     check_dimension(nu)
     if tau < 0:
         raise LabelError(f"tau={tau} must be nonnegative")
-    coeffs = {}
+    terms = {}
     for j in range(tau + 1):
         occ = [0] * (nu + 1)
         occ[1] = tau - j
         occ[2] = j
         c = math.comb(tau, j)
-        coeffs[tuple(occ)] = ((c, 0), (0, c), (-c, 0), (0, -c))[j % 4]
-    return FockState._of(coeffs, _ONE)
+        terms[tuple(occ)] = ((c, 0), (0, c), (-c, 0), (0, -c))[j % 4]
+    return FockState(terms)
 
 
 @dataclass(frozen=True)
@@ -660,23 +610,21 @@ def _chain2_intrinsic(nu: int, sigma: int, t: int, barred: bool) -> FockState:
     # apply maps integer parts to integer parts whatever the scale, so the
     # kernel of the images' integer parts combines the spans' integer parts
     # (the ladder phases sit in the scales; only span[0]'s, the seed's 1, enters)
-    vec, _ = _kernel_ints([apply(down, v).coeffs for v in span])
+    vec, _ = _kernel_ints([apply(down, v).terms for v in span])
     xr, xi = vec[0]
     if not (xr or xi):
         raise KernelError("kernel vector has no pure scalar-ladder component")
     out: dict = {}
     for (cr, ci), v in zip(vec, span):
-        for occ, (re, im) in v.coeffs.items():
+        for occ, (re, im) in v.terms.items():
             prev = out.get(occ, _ZERO_PAIR)
             out[occ] = (prev[0] + re * cr - im * ci, prev[1] + re * ci + im * cr)
     # dividing by x0 = xr + i xi: multiply by its conjugate, scale by 1/|x0|^2
-    coeffs = {
-        occ: (re * xr + im * xi, im * xr - re * xi) for occ, (re, im) in out.items() if re or im
-    }
-    state = FockState._of(coeffs, span[0].scale / (xr * xr + xi * xi)).canonical()
+    terms = {occ: (re * xr + im * xi, im * xr - re * xi) for occ, (re, im) in out.items()}
+    state = FockState(terms, span[0].scale / (xr * xr + xi * xi)).canonical()
     # canonical() makes the scale positive, so the phase shows in the integers
     marker = (sigma - t, t) + (0,) * (nu - 1)
-    lead_re, lead_im = state.coeffs[marker]
+    lead_re, lead_im = state.terms[marker]
     if lead_im != 0 or lead_re <= 0:
         raise KernelError("phase fixing failed: leading coefficient not positive real")
     return state
@@ -686,7 +634,7 @@ def _chain2_label(
     nu: int, N: int, sigma: int, tau: int, convention: Convention = Convention.STANDARD
 ) -> tuple:
     check_chain2(nu, N, sigma, tau)
-    return nu, N, sigma, abs(tau), as_convention(convention)
+    return nu, N, sigma, abs(tau), Convention(convention)
 
 
 @_cached_on(_chain2_label)
@@ -787,7 +735,7 @@ def casimir_apply(
     pass over psi's monomials per table.  SO(nu) does not depend on the
     convention, so its table serves both groups and both conventions.
     """
-    barred = as_convention(convention) is Convention.BARRED
+    barred = Convention(convention) is Convention.BARRED
     tables = [_casimir_rows(nu, CasimirGroup.SO_NU, False)]
     if group is CasimirGroup.SO_NU_PLUS_ONE:
         tables.append(_casimir_rows(nu, group, barred))
@@ -795,7 +743,7 @@ def casimir_apply(
     out: dict = {}
     get = out.get
     for gens, rows in tables:
-        for occ, (ar, ai) in psi.coeffs.items():
+        for occ, (ar, ai) in psi.terms.items():
             row = rows.get(occ)
             if row is None:
                 acc: dict = {}
@@ -818,8 +766,7 @@ def casimir_apply(
                     vr, vi = ar * cr, ai * cr
                 prev = get(i)
                 out[i] = (vr, vi) if prev is None else (prev[0] + vr, prev[1] + vi)
-    coeffs = {occs[i]: c for i, c in out.items() if c[0] or c[1]}
-    return FockState._of(coeffs, psi.scale)
+    return FockState({occs[i]: c for i, c in out.items()}, psi.scale)
 
 
 def casimir_check(
@@ -882,11 +829,10 @@ def su11_commutator_check(nu: int, cutoff: int = 6) -> bool:
         out: dict = {}
         _product_on(a, b, occ, 1, out)
         _product_on(b, a, occ, -1, out)
-        coeffs = {key: c for key, c in out.items() if c[0] or c[1]}
-        return FockState._of(coeffs, rational(1, a.den * b.den))
+        return FockState(out, rational(1, a.den * b.den))
 
     for occ in _monomials(nu, cutoff):
-        m = FockState._of({occ: (1, 0)}, _ONE)
+        m = FockState({occ: (1, 0)})
         if comm(qp, qm, occ) != apply(q0, m).times(-2):
             return False
         if comm(q0, qp, occ) != apply(qp, m):
@@ -906,9 +852,10 @@ def su11_commutator_check(nu: int, cutoff: int = 6) -> bool:
 
 def state_to_json(psi: FockState) -> list[dict]:
     """JSON-able dump: one record per monomial with rational-string coefficients."""
+    scale = psi.scale
     return [
-        {"occ": list(occ), "re": str(c.re), "im": str(c.im)}
-        for occ, c in sorted(psi.terms.items())
+        {"occ": list(occ), "re": str(re * scale), "im": str(im * scale)}
+        for occ, (re, im) in sorted(psi.terms.items())
     ]
 
 

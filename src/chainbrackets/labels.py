@@ -16,7 +16,6 @@ from .exactnum import rational
 
 __all__ = [
     "Convention",
-    "as_convention",
     "UnsupportedDimensionError",
     "LabelError",
     "ChainILabel",
@@ -37,12 +36,6 @@ class Convention(Enum):
 
     STANDARD = "standard"
     BARRED = "barred"
-
-
-def as_convention(value) -> Convention:
-    if isinstance(value, Convention):
-        return value
-    return Convention(value)
 
 
 class UnsupportedDimensionError(ValueError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .brackets import Convention, as_convention, table
+from .brackets import Convention, table
 from .exactnum import SurdSumError, SurdValue, rational
 from .fockoracle import (
     BosonOperator,
@@ -56,12 +56,6 @@ class OperatorSpec(Enum):
     B_NUMBER = "bnum"
     S_NUMBER = "snum"
     PAIRING = "pair"
-
-
-def as_operator(value) -> OperatorSpec:
-    if isinstance(value, OperatorSpec):
-        return value
-    return OperatorSpec(value)
 
 
 @dataclass(frozen=True)
@@ -102,7 +96,7 @@ def spherical_matrix(nu: int, N: int, tau: int, op: OperatorSpec) -> SphericalMa
     two in n; its entries follow from the quasi-spin ladder action combined
     with scalar-mode counting, and carry the ladder-normalization phase.
     """
-    op = as_operator(op)
+    op = OperatorSpec(op)
     ns, _ = bracket_index_set(nu, N, tau)
     t = abs(tau)
     d = len(ns)
@@ -128,7 +122,7 @@ def spherical_matrix(nu: int, N: int, tau: int, op: OperatorSpec) -> SphericalMa
 
 def boson_operator(op: OperatorSpec, nu: int) -> BosonOperator:
     """The same operator as an explicit boson expression for the oracle route."""
-    op = as_operator(op)
+    op = OperatorSpec(op)
     if op is OperatorSpec.B_NUMBER:
         return b_number_operator(nu)
     if op is OperatorSpec.S_NUMBER:
@@ -144,8 +138,8 @@ def deformed_matrix_oracle(
     convention: Convention = Convention.STANDARD,
 ) -> DeformedMatrix:
     """Direct matrix in the deformed chain from the constructed oracle states."""
-    op = as_operator(op)
-    convention = as_convention(convention)
+    op = OperatorSpec(op)
+    convention = Convention(convention)
     _, sigmas = bracket_index_set(nu, N, tau)
     states = [build_chain2_state(nu, N, s, tau, convention) for s in sigmas]
     bosons = boson_operator(op, nu)
@@ -210,8 +204,8 @@ def deformed_matrix(
     visits only the nonzero entries of W; each entry's radicand is then one
     rational.
     """
-    op = as_operator(op)
-    convention = as_convention(convention)
+    op = OperatorSpec(op)
+    convention = Convention(convention)
     sph = spherical_matrix(nu, N, tau, op)
     tab = _block_table(nu, N, abs(tau), convention)
     w = operator_core(sph, tab.row_sq)

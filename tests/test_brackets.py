@@ -177,6 +177,19 @@ def test_table_factors_are_ints_with_primitive_columns():
         assert all(type(v_sq) is Fraction and v_sq > 0 for v_sq in tab.col_sq), block
 
 
+def test_table_row_squares_are_the_chain1_normalizations():
+    # row_sq[a] = u_n**2 = (N - n)! / B**2: the scalar bosons times the pair ladder
+    checks = 0
+    for nu in range(2, 10):
+        for N in range(15):
+            for tau in range(N + 1):
+                tab = table(nu, N, tau)
+                for n, u_sq in zip(tab.ns, tab.row_sq):
+                    assert u_sq == math.factorial(N - n) / coeff_B(nu, n, tau).radicand
+                    checks += 1
+    assert checks == 2976
+
+
 def _df(m):
     return math.prod(range(m, 0, -2))
 

@@ -317,14 +317,15 @@ def test_surd_render():
 
 
 def test_gaussian_rational_arithmetic():
-    a = GaussianRational.of(1, 2)
-    b = GaussianRational.of(rational(1, 2), -1)
-    assert a * b == GaussianRational.of(rational(5, 2), 0)
-    assert a + b == GaussianRational.of(rational(3, 2), 1)
-    assert (a * a.inverse()) == GaussianRational.of(1, 0)
-    assert a.conjugate() == GaussianRational.of(1, -2)
-    assert (-a).is_zero is False
+    a = GaussianRational(rational(1), rational(2))
+    b = GaussianRational(rational(1, 2), rational(-1))
+    assert a * b == GaussianRational(rational(5, 2), rational(0))
+    assert a + b == GaussianRational(rational(3, 2), rational(1))
+    assert a - b == GaussianRational(rational(1, 2), rational(3))
+    assert a.is_zero is False
     assert (a - a).is_zero
+    assert hash(a * b) == hash(GaussianRational(rational(5, 2), rational(0)))
+    assert repr(b) == "GaussianRational(1/2, -1)"
 
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import hashlib
+import json
+import math
 import random
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import pytest
 
 from chainbrackets import fockoracle
 
-from chainbrackets.brackets import Convention, bracket
+from chainbrackets.brackets import Convention, bracket, coeff_A, coeff_B
 from chainbrackets.exactnum import GaussianRational, rational
 from chainbrackets.fockoracle import (
     BosonOperator,
@@ -61,24 +64,30 @@ from chainbrackets.labels import LabelError, bracket_index_set
 
 
 def gr(re, im=0):
-    return GaussianRational.of(re, im)
+    """The GaussianRational re + i im, as inner returns it."""
+    return GaussianRational(rational(re), rational(im))
 
 
 def monomial(*occ):
-    return FockState({tuple(occ): gr(1)})
+    return FockState({tuple(occ): (1, 0)})
 
 
 def _added(a, b):
-    """Reference sum of two states, coefficient by coefficient; cancelled terms drop out."""
-    terms = dict(a.terms)
-    for occ, c in b.terms.items():
-        terms[occ] = terms[occ] + c if occ in terms else c
-    return FockState(terms)
+    """Reference sum of two states, coefficient by coefficient, over the scale 1/(da db)."""
+    sa, sb = a.scale, b.scale
+    ma, mb = sa.numerator * sb.denominator, sb.numerator * sa.denominator
+    terms = {occ: (re * ma, im * ma) for occ, (re, im) in a.terms.items()}
+    for occ, (re, im) in b.terms.items():
+        r0, i0 = terms.get(occ, (0, 0))
+        terms[occ] = (r0 + re * mb, i0 + im * mb)
+    return FockState(terms, rational(1, sa.denominator * sb.denominator))
 
 
 def _scaled(psi, c):
-    """Reference product of a state with the GaussianRational c, coefficient by coefficient."""
-    return FockState({occ: x * c for occ, x in psi.terms.items()})
+    """Reference product of a state with the Gaussian integer c = (cr, ci), coefficient by coefficient."""
+    cr, ci = c
+    terms = {occ: (re * cr - im * ci, re * ci + im * cr) for occ, (re, im) in psi.terms.items()}
+    return FockState(terms, psi.scale)
 
 
 def test_apply_number_operator():
@@ -93,18 +102,18 @@ def test_apply_annihilates_empty_mode():
 
 def test_pair_creator_on_vacuum():
     out = apply(pair_creation_b(2), monomial(0, 0, 0))
-    assert out == FockState({(0, 2, 0): gr(1), (0, 0, 2): gr(1)})
+    assert out == FockState({(0, 2, 0): (1, 0), (0, 0, 2): (1, 0)})
 
 
 def _ladder(psi, word):
-    """Reference: the word of single-mode steps applied right to left to the dict occ -> coefficient.
+    """Reference: the word of single-mode steps applied right to left to the dict occ -> (re, im).
 
     (j, 1) is b_j^dag, which raises occ_j; (j, -1) is b_j, which lowers occ_j
     with the factor occ_j, because the monomials carry no normalization.
     """
     for j, step in reversed(word):
         psi = {
-            occ[:j] + (occ[j] + step,) + occ[j + 1 :]: c if step > 0 else c.times(occ[j])
+            occ[:j] + (occ[j] + step,) + occ[j + 1 :]: c if step > 0 else (c[0] * occ[j], c[1] * occ[j])
             for occ, c in psi.items()
             if step > 0 or occ[j]
         }
@@ -112,8 +121,11 @@ def _ladder(psi, word):
 
 
 def _defining_formulas(nu):
-    """(name, constructed operator, [(coefficient, word), ...]) for every constructor at nu."""
-    one, i, half = gr(1), gr(0, 1), gr(rational(1, 2))
+    """(name, constructed operator, den, [(coefficient, word), ...]) for every constructor at nu.
+
+    Each coefficient is a Gaussian integer (re, im); the formula is their sum over den.
+    """
+    one, i, minus_i = (1, 0), (0, 1), (0, -1)
     b = range(1, nu + 1)
 
     def dag(j, p=1):
@@ -126,64 +138,73 @@ def _defining_formulas(nu):
     pair_b = [ann(j, 2) for j in b]
     n_b = [dag(j) + ann(j) for j in b]
     cases = [
-        (f"creation_power({m}, {p})", creation_power(m, p), [(one, dag(m, p))])
+        (f"creation_power({m}, {p})", creation_power(m, p), 1, [(one, dag(m, p))])
         for m in range(nu + 1)
         for p in (1, 2, 3)
     ]
     cases += [
-        ("pair_creation_b", pair_creation_b(nu), [(one, w) for w in pair_b_dag]),
-        ("pair_annihilation_b", pair_annihilation_b(nu), [(one, w) for w in pair_b]),
-        ("number_operator", number_operator(nu), [(one, w) for w in [dag(0) + ann(0)] + n_b]),
-        ("b_number_operator", b_number_operator(nu), [(one, w) for w in n_b]),
-        ("s_number_operator", s_number_operator(nu), [(one, dag(0) + ann(0))]),
+        ("pair_creation_b", pair_creation_b(nu), 1, [(one, w) for w in pair_b_dag]),
+        ("pair_annihilation_b", pair_annihilation_b(nu), 1, [(one, w) for w in pair_b]),
+        ("number_operator", number_operator(nu), 1, [(one, w) for w in [dag(0) + ann(0)] + n_b]),
+        ("b_number_operator", b_number_operator(nu), 1, [(one, w) for w in n_b]),
+        ("s_number_operator", s_number_operator(nu), 1, [(one, dag(0) + ann(0))]),
         (
             "pair_exchange_operator",
             pair_exchange_operator(nu),
-            [(half, w + ann(0, 2)) for w in pair_b_dag] + [(half, dag(0, 2) + w) for w in pair_b],
+            2,
+            [(one, w + ann(0, 2)) for w in pair_b_dag] + [(one, dag(0, 2) + w) for w in pair_b],
         ),
-        ("quasispin_plus", quasispin_plus(nu), [(half, w) for w in pair_b_dag]),
-        ("quasispin_minus", quasispin_minus(nu), [(half, w) for w in pair_b]),
-        ("quasispin_zero", quasispin_zero(nu), [(half, w) for w in n_b] + [(gr(rational(nu, 4)), ())]),
+        ("quasispin_plus", quasispin_plus(nu), 2, [(one, w) for w in pair_b_dag]),
+        ("quasispin_minus", quasispin_minus(nu), 2, [(one, w) for w in pair_b]),
+        ("quasispin_zero", quasispin_zero(nu), 4, [((2, 0), w) for w in n_b] + [((nu, 0), ())]),
     ]
     cases += [
-        (f"so_generator({j}, {k})", so_generator(nu, j, k), [(i, dag(j) + ann(k)), (-i, dag(k) + ann(j))])
+        (
+            f"so_generator({j}, {k})",
+            so_generator(nu, j, k),
+            1,
+            [(i, dag(j) + ann(k)), (minus_i, dag(k) + ann(j))],
+        )
         for j in b
         for k in b
         if j < k
     ]
     for barred in (False, True):
-        sign = -one if barred else one
+        sign = (-1, 0) if barred else one
         cases += [
             (
                 f"pair_creation_full(barred={barred})",
                 pair_creation_full(nu, barred),
+                1,
                 [(one, dag(0, 2))] + [(sign, w) for w in pair_b_dag],
             ),
             (
                 f"pair_annihilation_full(barred={barred})",
                 pair_annihilation_full(nu, barred),
+                1,
                 [(one, ann(0, 2))] + [(sign, w) for w in pair_b],
             ),
         ]
         for j in b:
             up, down = dag(0) + ann(j), dag(j) + ann(0)
-            mixing = [(one, up), (one, down)] if barred else [(i, up), (-i, down)]
-            cases.append((f"d_generator({j}, barred={barred})", d_generator(nu, j, barred), mixing))
+            mixing = [(one, up), (one, down)] if barred else [(i, up), (minus_i, down)]
+            cases.append((f"d_generator({j}, barred={barred})", d_generator(nu, j, barred), 1, mixing))
     return cases
 
 
 @pytest.mark.parametrize("nu", [2, 3, 4])
 def test_every_operator_constructor_applies_its_defining_formula(nu):
     cases = _defining_formulas(nu)
-    for name, op, formula in cases:
+    for name, op, den, formula in cases:
         assert len(op.terms) == len(formula), name
     for occ in _monomials(nu, 4):
-        for name, op, formula in cases:
+        for name, op, den, formula in cases:
             expected = {}
-            for c, word in formula:
-                for key, x in _ladder({occ: gr(1)}, word).items():
-                    expected[key] = expected[key] + c * x if key in expected else c * x
-            assert apply(op, FockState({occ: gr(1)})) == FockState(expected), (name, occ)
+            for (cr, ci), word in formula:
+                for key, (xr, xi) in _ladder({occ: (1, 0)}, word).items():
+                    r0, i0 = expected.get(key, (0, 0))
+                    expected[key] = (r0 + cr * xr - ci * xi, i0 + cr * xi + ci * xr)
+            assert apply(op, monomial(*occ)) == FockState(expected, rational(1, den)), (name, occ)
 
 
 def test_inner_examples():
@@ -196,21 +217,21 @@ def test_inner_examples():
 
 
 def test_inner_conjugates_the_bra():
-    a = FockState({(1, 0, 0): gr(0, 1)})
+    a = FockState({(1, 0, 0): (0, 1)})
     b = monomial(1, 0, 0)
     assert inner(a, b) == gr(0, -1)
     assert inner(b, a) == gr(0, 1)
     # a larger state on either side: the bra stays conjugated
-    big = FockState({(1, 0, 0): gr(0, rational(1, 2)), (0, 1, 0): gr(1)})
+    big = FockState({(1, 0, 0): (0, 1), (0, 1, 0): (2, 0)}, rational(1, 2))
     assert inner(big, b) == gr(0, rational(-1, 2))
     assert inner(b, big) == gr(0, rational(1, 2))
 
 
 def test_seed_examples():
     assert seed_state(4, 0) == monomial(0, 0, 0, 0, 0)
-    assert seed_state(2, 1) == FockState({(0, 1, 0): gr(1), (0, 0, 1): gr(0, 1)})
+    assert seed_state(2, 1) == FockState({(0, 1, 0): (1, 0), (0, 0, 1): (0, 1)})
     assert seed_state(3, 2) == FockState(
-        {(0, 2, 0, 0): gr(1), (0, 1, 1, 0): gr(0, 2), (0, 0, 2, 0): gr(-1)}
+        {(0, 2, 0, 0): (1, 0), (0, 1, 1, 0): (0, 2), (0, 0, 2, 0): (-1, 0)}
     )
 
 
@@ -224,10 +245,10 @@ def test_seed_is_killed_by_pair_annihilator_and_carries_seniority():
 
 def test_chain1_states():
     st = build_chain1_state(2, 2, 0, 0)
-    assert st.state == FockState({(2, 0, 0): gr(1)})
+    assert st.state == FockState({(2, 0, 0): (1, 0)})
     assert st.norm_sq == 2
     st = build_chain1_state(2, 2, 2, 0)
-    assert st.state == FockState({(0, 2, 0): gr(-1), (0, 0, 2): gr(-1)})
+    assert st.state == FockState({(0, 2, 0): (-1, 0), (0, 0, 2): (-1, 0)})
     assert st.norm_sq == 4
     st = build_chain1_state(2, 1, 1, 1)
     assert st.state == seed_state(2, 1)
@@ -249,11 +270,11 @@ def test_chain1_eigenvalues():
 
 def test_chain2_states_frozen():
     st = build_chain2_state(2, 2, 0, 0)
-    assert st.state == FockState({(2, 0, 0): gr(-1), (0, 2, 0): gr(-1), (0, 0, 2): gr(-1)})
+    assert st.state == FockState({(2, 0, 0): (-1, 0), (0, 2, 0): (-1, 0), (0, 0, 2): (-1, 0)})
     assert st.norm_sq == 6
     st = build_chain2_state(2, 2, 2, 0)
     assert st.state == FockState(
-        {(2, 0, 0): gr(1), (0, 2, 0): gr(rational(-1, 2)), (0, 0, 2): gr(rational(-1, 2))}
+        {(2, 0, 0): (2, 0), (0, 2, 0): (-1, 0), (0, 0, 2): (-1, 0)}, rational(1, 2)
     )
     assert st.norm_sq == 3
     st = build_chain2_state(3, 4, 4, 4)
@@ -364,41 +385,50 @@ def test_nullspace_guards():
     assert _kernel_ints([a, {(1, 0): (0, 1)}]) == ([(0, -1), (1, 0)], 1)
 
 
-def test_terms_round_trip_mixed_denominators():
+def test_constructor_drops_zero_pairs_and_keeps_the_scale():
     terms = {
-        (0, 1, 0): gr(rational(1, 2), rational(-2, 3)),
-        (1, 0, 0): gr(-3),
-        (0, 0, 1): gr(0, rational(5, 7)),
-        (2, 0, 0): gr(0),
+        (0, 1, 0): (21, -28),
+        (1, 0, 0): (-126, 0),
+        (0, 0, 1): (0, 30),
+        (2, 0, 0): (0, 0),
     }
-    psi = FockState(terms)
-    assert dict(psi.terms) == {occ: c for occ, c in terms.items() if not c.is_zero}
+    psi = FockState(terms, rational(1, 42))
+    assert psi.terms == {occ: c for occ, c in terms.items() if c != (0, 0)}
     assert len(psi.terms) == 3
     assert psi.scale == rational(1, 42)
-    assert FockState(dict(psi.terms)) == psi
+    assert (2, 0, 0) in terms  # the argument is not modified
+    assert FockState(psi.terms, psi.scale) == psi
+    assert FockState(terms).scale == 1
+    assert FockState({(0, 0, 0): (0, 0)}).is_zero
+    assert not FockState({(0, 0, 0): (0, -1)}).is_zero
 
 
 def test_times_zero_and_negative_scalars():
-    a = FockState({(1, 0): gr(rational(1, 2), 3)})
+    a = FockState({(1, 0): (1, 6)}, rational(1, 2))
     assert a.times(0).is_zero
     assert a.times(rational(0)) == FockState({})
-    assert a.times(-2).terms[(1, 0)] == gr(-1, -6)
+    assert a.times(-2) == FockState({(1, 0): (-1, -6)})
     assert a.times(rational(-1, 3)).times(-3) == a
     assert _added(a.times(-1), a).is_zero
 
 
 def test_equal_representations_hash_alike():
     occ = (0, 1, 0)
-    half_of_two = FockState._of({occ: (2, 0)}, rational(1, 2))
-    one = FockState({occ: gr(1)})
-    minus_minus = FockState._of({occ: (-3, 0)}, rational(-1, 3))
+    half_of_two = FockState({occ: (2, 0)}, rational(1, 2))
+    one = FockState({occ: (1, 0)})
+    minus_minus = FockState({occ: (-3, 0)}, rational(-1, 3))
     assert half_of_two == one == minus_minus
     assert hash(half_of_two) == hash(one) == hash(minus_minus)
     assert half_of_two != one.times(2)
-    two_terms = FockState({occ: gr(rational(1, 2)), (1, 0, 0): gr(0, rational(-3, 2))})
-    assert two_terms == FockState._of({occ: (-2, 0), (1, 0, 0): (0, 6)}, rational(-1, 4))
-    assert hash(two_terms) == hash(FockState._of({occ: (-2, 0), (1, 0, 0): (0, 6)}, rational(-1, 4)))
+    two_terms = FockState({occ: (1, 0), (1, 0, 0): (0, -3)}, rational(1, 2))
+    assert two_terms == FockState({occ: (-2, 0), (1, 0, 0): (0, 6)}, rational(-1, 4))
+    assert hash(two_terms) == hash(FockState({occ: (-2, 0), (1, 0, 0): (0, 6)}, rational(-1, 4)))
     assert hash(FockState({})) == hash(FockState({}).times(5))
+
+
+def _inverse(c):
+    norm = c.re * c.re + c.im * c.im
+    return GaussianRational(c.re / norm, -c.im / norm)
 
 
 def _kernel_by_fraction_gauss_jordan(images):
@@ -406,7 +436,10 @@ def _kernel_by_fraction_gauss_jordan(images):
     zero, one = gr(0), gr(1)
     ncols = len(images)
     keys = sorted(set().union(*(im.terms.keys() for im in images)))
-    rows = [[im.terms.get(k, zero) for im in images] for k in keys]
+    rows = [
+        [gr(*im.terms.get(k, (0, 0))) * gr(im.scale) for im in images]
+        for k in keys
+    ]
     pivot_of_col = {}
     rank = 0
     for col in range(ncols):
@@ -414,7 +447,7 @@ def _kernel_by_fraction_gauss_jordan(images):
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
+        inv = _inverse(rows[rank][col])
         rows[rank] = [x * inv for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and not rows[i][col].is_zero:
@@ -427,7 +460,7 @@ def _kernel_by_fraction_gauss_jordan(images):
     vec = [zero] * ncols
     vec[free[0]] = one
     for col, r in pivot_of_col.items():
-        vec[col] = -rows[r][free[0]]
+        vec[col] = zero - rows[r][free[0]]
     return vec
 
 
@@ -441,11 +474,16 @@ def _intrinsic_reference(nu, sigma, t, barred):
         span.append(apply(creation_power(0, p), base) if p else base)
     down = pair_annihilation_full(nu, barred)
     vec = _kernel_by_fraction_gauss_jordan([apply(down, v) for v in span])
-    lead = vec[0].inverse()
-    out = FockState({})
+    lead = _inverse(vec[0])
+    out = {}
     for c, v in zip(vec, span):
-        out = _added(out, _scaled(v, c * lead))
-    return out
+        weight = c * lead * gr(v.scale)
+        for occ, x in v.terms.items():
+            out[occ] = out.get(occ, gr(0)) + weight * gr(*x)
+    # the Gaussian-rational coefficients as Gaussian integers over their common denominator
+    den = math.lcm(*(part.denominator for c in out.values() for part in (c.re, c.im)))
+    terms = {occ: (int(c.re * den), int(c.im * den)) for occ, c in out.items()}
+    return FockState(terms, rational(1, den))
 
 
 def test_fraction_free_kernel_matches_fraction_gauss_jordan():
@@ -456,7 +494,9 @@ def test_fraction_free_kernel_matches_fraction_gauss_jordan():
                     state = _chain2_intrinsic(nu, sigma, t, barred)
                     expected = _intrinsic_reference(nu, sigma, t, barred)
                     assert state == expected, (nu, sigma, t, barred)
-                    assert dict(state.terms) == dict(expected.terms)
+                    # the oracle keeps the canonical form: coprime integers, positive scale
+                    canonical = expected.canonical()
+                    assert (state.terms, state.scale) == (canonical.terms, canonical.scale)
 
 
 def test_invalid_labels_rejected():
@@ -500,6 +540,13 @@ def test_state_to_json():
         {"occ": [0, 0, 1], "re": "0", "im": "1"},
         {"occ": [0, 1, 0], "re": "1", "im": "0"},
     ]
+    # each part is the integer times the scale, as one rational string
+    psi = FockState({(1, 0, 0): (0, 2), (0, 1, 0): (3, -4), (0, 0, 1): (-5, 0)}, rational(-2, 3))
+    assert state_to_json(psi) == [
+        {"occ": [0, 0, 1], "re": "10/3", "im": "0"},
+        {"occ": [0, 1, 0], "re": "-2", "im": "8/3"},
+        {"occ": [1, 0, 0], "re": "0", "im": "-4/3"},
+    ]
 
 
 def _casimir_by_definition(nu, psi, group, convention):
@@ -527,18 +574,18 @@ def _casimir_cases(nu):
     ]
     rng = random.Random(nu)
     for _ in range(3):
-        coeffs = {}
-        while len(coeffs) < 8:
+        terms = {}
+        while len(terms) < 8:
             occ = tuple(rng.randrange(3) for _ in range(nu + 1))
-            coeffs[occ] = (rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(-9, 9))
-        cases.append(FockState._of(coeffs, rational(rng.randint(2, 7), rng.randint(8, 13))))
+            terms[occ] = (rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(-9, 9))
+        cases.append(FockState(terms, rational(rng.randint(2, 7), rng.randint(8, 13))))
     return cases
 
 
 @pytest.mark.parametrize("nu", [2, 3, 4, 5])
 def test_casimir_apply_equals_the_sum_of_squared_generators(nu):
     cases = _casimir_cases(nu)
-    assert len({sum(occ) for occ in cases[-1].coeffs}) > 1 and cases[-1].scale != 1
+    assert len({sum(occ) for occ in cases[-1].terms}) > 1 and cases[-1].scale != 1
     for psi in cases:
         for group in CasimirGroup:
             for conv in Convention:
@@ -554,12 +601,12 @@ def test_casimir_rows_are_shared_and_cleared(cold_caches):
     casimir_apply(3, psi, CasimirGroup.SO_NU_PLUS_ONE, Convention.BARRED)
     _, rotations = _casimir_rows(3, CasimirGroup.SO_NU, False)
     _, mixings = _casimir_rows(3, CasimirGroup.SO_NU_PLUS_ONE, True)
-    assert set(rotations) == set(mixings) == set(psi.coeffs)
+    assert set(rotations) == set(mixings) == set(psi.terms)
     # SO(nu) has no convention: the barred check filled the rows the standard one reads
     casimir_apply(3, psi, CasimirGroup.SO_NU, Convention.STANDARD)
     assert _casimir_rows.cache_info().currsize == 2
     ids, occs = _monomial_index(3)
-    assert set(occs) >= set(psi.coeffs) and [ids[occ] for occ in occs] == list(range(len(occs)))
+    assert set(occs) >= set(psi.terms) and [ids[occ] for occ in occs] == list(range(len(occs)))
     clear_caches()
     assert _casimir_rows.cache_info().currsize == 0
     assert _monomial_index.cache_info().currsize == 0
@@ -588,7 +635,7 @@ def test_casimir_rows_carry_complex_coefficients(monkeypatch, cold_caches):
     )
     psi = _casimir_cases(3)[-1]
     expected = apply(g, apply(g, psi))
-    assert any(im for _, im in expected.coeffs.values())
+    assert any(im for _, im in expected.terms.values())
     monkeypatch.setattr(fockoracle, "_casimir_generators", lambda nu, group, barred: (g,))
     assert casimir_apply(3, psi, CasimirGroup.SO_NU) == expected
     assert casimir_apply(3, psi, CasimirGroup.SO_NU) == expected
@@ -629,13 +676,12 @@ def test_product_on_equals_composed_apply():
         pair_exchange_operator(nu),
     ]
     for occ in ((0, 0, 0, 0), (2, 1, 0, 3), (1, 2, 2, 1), (4, 0, 1, 0)):
-        m = FockState._of({occ: (1, 0)}, rational(1))
+        m = FockState({occ: (1, 0)})
         for a in ops:
             for b in ops:
                 out = {}
                 _product_on(a, b, occ, -1, out)
-                coeffs = {k: c for k, c in out.items() if c != (0, 0)}
-                got = FockState._of(coeffs, rational(-1, a.den * b.den))
+                got = FockState(out, rational(-1, a.den * b.den))
                 assert got == apply(a, apply(b, m))
 
 
@@ -688,6 +734,61 @@ def _bracket_blocks(nu_max, n_max):
                 yield (nu, N, tau) + bracket_index_set(nu, N, tau)
 
 
+def test_coeff_B_is_the_ratio_of_chain1_ladder_norms():
+    # B**2 normalizes the pair ladder on the seed: <seed|seed> / <(n, n)|(n, n)>
+    checks = 0
+    for nu in range(2, 7):
+        for t in range(11):
+            seed_norm_sq = build_chain1_state(nu, t, t, t).norm_sq
+            for n in range(t, 11, 2):
+                ladder_norm_sq = build_chain1_state(nu, n, n, t).norm_sq
+                assert coeff_B(nu, n, t).radicand == seed_norm_sq / ladder_norm_sq, (nu, n, t)
+                checks += 1
+    assert checks == 180
+
+
+def test_coeff_A_is_the_ratio_of_chain2_ladder_norms():
+    # A**2 normalizes the full pair ladder on the intrinsic state, in either convention
+    checks = 0
+    for nu, N, tau, _, sigmas in _bracket_blocks(5, 8):
+        if tau < 0:
+            continue
+        for sigma in sigmas:
+            for conv in Convention:
+                ratio = (
+                    build_chain2_state(nu, sigma, sigma, tau, conv).norm_sq
+                    / build_chain2_state(nu, N, sigma, tau, conv).norm_sq
+                )
+                assert coeff_A(nu, N, sigma).radicand == ratio, (nu, N, sigma, tau, conv)
+                checks += 1
+    assert checks == 760
+
+
+def _state_digest_labels():
+    """Chain-I labels at every n, then chain-II at every sigma in both conventions, block by block."""
+    for nu, N, tau, ns, sigmas in _bracket_blocks(5, 8):
+        for n in ns:
+            yield ("I", nu, N, n, tau)
+        for sigma in sigmas:
+            for conv in Convention:
+                yield ("II", nu, N, sigma, tau, conv.value)
+
+
+def test_every_oracle_state_is_pinned(cold_caches):
+    # one digest over each state's exact coefficients and squared norm, built from
+    # cold caches; a change of representation or of construction order must leave
+    # every value unchanged
+    digest = hashlib.sha256()
+    count = 0
+    for label in _state_digest_labels():
+        build = build_chain1_state if label[0] == "I" else build_chain2_state
+        st = build(*label[1:])
+        digest.update(json.dumps([label, state_to_json(st.state), str(st.norm_sq)]).encode())
+        count += 1
+    assert count == 1350
+    assert digest.hexdigest() == "75e08203b1c75391f87951fe8c81033779bd82fa7d512a9ef3e9798628929ff9"
+
+
 def test_oracle_bracket_equals_the_fraction_reference():
     zeros = 0
     for nu, N, tau, ns, sigmas in _bracket_blocks(4, 8):
@@ -707,11 +808,12 @@ def test_oracle_bracket_equals_the_fraction_reference():
 
 
 def test_integer_dot_carries_the_scales_and_rejects_imaginary_overlaps():
-    a = FockState({(0, 2, 0): gr(rational(3, 2), -1), (1, 0, 1): gr(0, rational(1, 3))})
-    b = FockState({(0, 2, 0): gr(-2, 5), (1, 0, 1): gr(4), (0, 0, 2): gr(7)})
+    a = FockState({(0, 2, 0): (9, -6), (1, 0, 1): (0, 2)}, rational(1, 6))
+    b = FockState({(0, 2, 0): (-2, 5), (1, 0, 1): (4, 0), (0, 0, 2): (7, 0)})
     for bra, ket in ((a, b), (b, a), (a, a)):
         re, im = _dot(_weighted(bra), ket)
-        assert inner(bra, ket) == gr(re, im).times(bra.scale * ket.scale)
+        scale = bra.scale * ket.scale
+        assert inner(bra, ket) == gr(re * scale, im * scale)
     # a multiple of b overlaps b in a real number, whatever b's complex coefficients
     scaled_b = b.times(rational(-5, 3))
     re, im = _dot(_weighted(scaled_b), b)
@@ -725,7 +827,7 @@ def test_oracle_bracket_rejects_a_complex_overlap(monkeypatch):
     assert oracle_bracket(nu, N, n, sigma, tau)[0] != 0
     two = build_chain2_state(nu, N, sigma, tau)
     # (1 + i) times the state: same norm up to the factor 2, complex overlap
-    rotated = NormalizedState(_scaled(two.state, gr(1, 1)), two.norm_sq * 2)
+    rotated = NormalizedState(_scaled(two.state, (1, 1)), two.norm_sq * 2)
     monkeypatch.setattr(fockoracle, "build_chain2_state", lambda *args, **kwargs: rotated)
     with pytest.raises(KernelError, match="imaginary part"):
         oracle_bracket(nu, N, n, sigma, tau)
@@ -733,7 +835,7 @@ def test_oracle_bracket_rejects_a_complex_overlap(monkeypatch):
 
 def test_real_norm_sq_equals_the_inner_product():
     psi = build_chain2_state(3, 5, 3, 1, Convention.BARRED).state
-    complex_ = FockState({(0, 1, 0, 0): gr(rational(2, 3), rational(-5, 7)), (2, 0, 0, 1): gr(0, 3)})
+    complex_ = FockState({(0, 1, 0, 0): (14, -15), (2, 0, 0, 1): (0, 63)}, rational(1, 21))
     cases = (psi, psi.times(-1), psi.times(rational(7, 4)), complex_, complex_.times(-3))
     assert all(state.scale != 1 for state in cases)
     assert any(state.scale < 0 for state in cases)
@@ -777,7 +879,7 @@ def test_incremental_ladders_equal_ladders_built_from_the_start(nu, cold_caches)
             assert st.norm_sq == inner(expected, expected).re
         for label in sorted(chain1, key=lambda lab: -lab[1] if deepest_first else lab[1]):
             st, expected = build_chain1_state(*label), chain1[label]
-            assert (st.state.coeffs, st.state.scale) == (expected.coeffs, expected.scale), label
+            assert (st.state.terms, st.state.scale) == (expected.terms, expected.scale), label
             assert st.norm_sq == inner(expected, expected).re
     # warm: every label is a cache hit and still equals its reference
     hits = build_chain2_state.cache_info().hits

@@ -244,21 +244,21 @@ def test_oracle_route_matches_an_inner_reference():
 
 
 def test_overlap_squares_scale_and_reject_an_imaginary_overlap():
-    bra = FockState({(0, 2, 0): GaussianRational.of(1)})
-    ket = FockState({(0, 2, 0): GaussianRational.of(rational(5, 3))})
+    bra = FockState({(0, 2, 0): (1, 0)})
+    ket = FockState({(0, 2, 0): (5, 0)}, rational(1, 3))
     # <bra|ket> = 2! * 5/3 with ket.scale = 1/3; unit norms leave the squared overlap itself
     raw = [NormalizedState(bra, 1), NormalizedState(ket, 1), NormalizedState(ket.times(-1), 1)]
     assert overlap_squares(raw[:1], raw) == [[(1, 4), (1, rational(100, 9)), (-1, rational(100, 9))]]
-    assert inner(bra, ket) == GaussianRational.of(rational(10, 3))
+    assert inner(bra, ket) == GaussianRational(rational(10, 3), rational(0))
     # the true norms <bra|bra> = 2 and <ket|ket> = 50/9 make the states parallel unit vectors
     unit = [NormalizedState(bra, 2), NormalizedState(ket, rational(50, 9))]
     assert overlap_squares(unit, unit) == [[(1, 1), (1, 1)], [(1, 1), (1, 1)]]
     # complex coefficients with a real overlap: <(1+i)m|(1+i)m> = 2 * 2!
-    complex_ = NormalizedState(FockState({(0, 2, 0): GaussianRational.of(1, 1)}), 1)
+    complex_ = NormalizedState(FockState({(0, 2, 0): (1, 1)}), 1)
     assert overlap_squares([complex_], [complex_]) == [[(1, 16)]]
     # <i m|(3/2) m> = -i * 2! * 3/2, so the imaginary part is -3
-    imaginary = NormalizedState(FockState({(0, 2, 0): GaussianRational.of(0, 1)}), 1)
-    half = NormalizedState(FockState({(0, 2, 0): GaussianRational.of(rational(3, 2))}), 1)
+    imaginary = NormalizedState(FockState({(0, 2, 0): (0, 1)}), 1)
+    half = NormalizedState(FockState({(0, 2, 0): (3, 0)}, rational(1, 2)), 1)
     with pytest.raises(KernelError, match="imaginary part -3$"):
         overlap_squares([imaginary], [half])
 
