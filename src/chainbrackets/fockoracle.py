@@ -8,7 +8,7 @@ against which every closed form is certified.
 
 All arithmetic is exact and runs on Python ints; no floating point anywhere.
 States and operators share one representation: Gaussian integers (re, im)
-under one rational factor for the whole value, `FockState(terms, scale)` and
+under one rational factor for the whole value, `FockState` and
 `BosonOperator(terms, den)`.  So `apply` and the overlaps multiply integers
 and touch the scale once per call; the only GaussianRational here is the
 value `inner` returns.  The intrinsic deformed states come from
@@ -18,6 +18,20 @@ and is one `apply` from the cached state below it.  Each overlap is one
 weighted integer dot, and one rule (`_signed_square`) turns it into the
 (sign, square) pair that both `oracle_bracket` and `overlap_squares` return.
 No other module reads a state's integers or scale.
+
+Every state is built from the seed (b_1^dag + i b_2^dag)^tau with SO(nu)
+scalars only, so it is symmetric under permutations of the modes
+b_3..b_nu.  A FockState therefore stores one monomial per permutation orbit
+(the representative, whose occ[3:] is non-increasing) with d = c * |orbit|.
+`apply` pushes each representative through an operator that commutes with
+those permutations and sums the output monomials into their representatives
+(the fold); the Casimir rows are folded the same way.  An overlap is
+sum conj(d) d' prod occ_j! prod_v m_v! / (nu - 2)! over the
+representatives, with m_v the multiplicities of the values in occ[3:]; the
+division is exact.  At nu <= 3 every orbit is one monomial and nothing is
+folded.  The full-space monomials exist only as the
+derived view `FockState.terms`; `su11_commutator_check` composes operators
+on single full-space monomials with `_product_on`.
 """
 
 from __future__ import annotations
@@ -38,6 +52,7 @@ from .labels import (
 
 __all__ = [
     "KernelError",
+    "SymmetryError",
     "CasimirGroup",
     "FockState",
     "BosonOperator",
@@ -65,20 +80,59 @@ class KernelError(RuntimeError):
     """The pair-annihilation kernel did not come out one-dimensional: a bug."""
 
 
+class SymmetryError(ValueError):
+    """A state or operator that is not invariant under permutations of the modes b_3..b_nu.
+
+    The oracle stores one monomial per permutation orbit, so it can neither
+    hold such a state nor apply such an operator.
+    """
+
+
 class CasimirGroup(Enum):
     SO_NU = "so_nu"
     SO_NU_PLUS_ONE = "so_nu_plus_one"
 
 
-def _multipliers(sa, sb) -> tuple[int, int, object]:
-    """Integers ma, mb and a rational c with sa = ma * c and sb = mb * c."""
+def _multipliers(sa, sb) -> tuple[int, int]:
+    """Integers ma, mb with sa = ma * c and sb = mb * c for one rational c."""
     if sa == sb:
-        return 1, 1, sa
+        return 1, 1
     na, da = sa.numerator, sa.denominator
     nb, db = sb.numerator, sb.denominator
     g = math.gcd(na, nb)
     lcm = math.lcm(da, db)
-    return na // g * (lcm // da), nb // g * (lcm // db), rational(g, lcm)
+    return na // g * (lcm // da), nb // g * (lcm // db)
+
+
+def _nonzero(terms: dict) -> dict:
+    return {occ: c for occ, c in terms.items() if c[0] or c[1]}
+
+
+def _orbit_size(rep: tuple) -> int:
+    """|orbit| = (nu - 2)! / prod_v m_v!, with m_v the multiplicity of the value v in rep[3:]."""
+    tail = rep[3:]
+    return math.factorial(len(tail)) // math.prod(math.factorial(tail.count(v)) for v in set(tail))
+
+
+def _arrangements(tail: tuple):
+    """Every distinct ordering of tail."""
+    if len(tail) < 2:
+        yield tail
+        return
+    for v in set(tail):
+        i = tail.index(v)
+        for rest in _arrangements(tail[:i] + tail[i + 1 :]):
+            yield (v,) + rest
+
+
+def _fold(terms: dict) -> dict:
+    """Sum each monomial's Gaussian integer into its orbit's representative."""
+    out: dict = {}
+    for occ, (re, im) in terms.items():
+        rep = occ[:3] + tuple(sorted(occ[3:], reverse=True))
+        r0, i0 = out.get(rep, _ZERO_PAIR)
+        out[rep] = (r0 + re, i0 + im)
+    return out
 
 
 class FockState:
@@ -86,51 +140,80 @@ class FockState:
 
     Keys are (nu+1)-tuples of occupation numbers, mode 0 being the scalar
     boson.  Monomials are unnormalized products of creation operators on the
-    vacuum, so <occ|occ> = prod occ_j!.  Built from terms {occ: (re, im)} of
-    Gaussian integers and a rational scale shared by the whole state, as a
-    BosonOperator is built from Gaussian integers over one denominator: the
-    coefficient of occ is (re + i im) * scale.  The constructor drops zero
-    pairs, so `terms` holds nonzero pairs only and len(terms) is the monomial
-    count.  Instances are treated as immutable.
+    vacuum, so <occ|occ> = prod occ_j!.  The coefficient of occ is
+    (re + i im) * scale: Gaussian integers under one rational scale, as a
+    BosonOperator is Gaussian integers over one denominator.
+
+    A state is symmetric under permutations of the modes 3..nu, and is
+    stored by orbit: `orbits` maps each orbit's representative (occ[3:]
+    non-increasing) to d = c * |orbit|, a nonzero Gaussian integer divisible
+    by |orbit|.  `terms` is the derived full-space view {occ: c}, one entry
+    per monomial.  The constructor takes such full-space terms; it drops
+    zero pairs and raises SymmetryError unless the terms are symmetric.
+    Instances are treated as immutable and may share their dict.
     """
 
-    __slots__ = ("terms", "scale")
+    __slots__ = ("orbits", "scale")
 
     def __init__(self, terms: dict, scale=_ONE):
-        self.terms = {occ: c for occ, c in terms.items() if c[0] or c[1]}
+        terms = _nonzero(terms)
+        self.orbits = _fold(terms)
         self.scale = scale
+        # the folded orbits give back exactly the terms they came from iff those are symmetric
+        if self.terms != terms:
+            raise SymmetryError("the terms are not symmetric under permutations of the modes 3..nu")
+
+    @classmethod
+    def _of(cls, orbits: dict, scale) -> "FockState":
+        """The state stored as orbits, which must hold nonzero pairs only."""
+        psi = cls.__new__(cls)
+        psi.orbits = orbits
+        psi.scale = scale
+        return psi
+
+    @property
+    def terms(self) -> dict:
+        """Full-space view {occ: (re, im)}: every monomial, under the same scale."""
+        out = {}
+        for rep, (re, im) in self.orbits.items():
+            size = _orbit_size(rep)
+            c = (re // size, im // size)
+            head = rep[:3]
+            for tail in _arrangements(rep[3:]):
+                out[head + tail] = c
+        return out
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.orbits
 
     def canonical(self) -> "FockState":
-        """The same state with coprime integer parts and a positive scale."""
-        if not self.terms:
+        """The same state with coprime full-space integers and a positive scale."""
+        if not self.orbits:
             return self
-        g = math.gcd(*(x for pair in self.terms.values() for x in pair))
+        g = math.gcd(*(x // _orbit_size(occ) for occ, pair in self.orbits.items() for x in pair))
         if self.scale < 0:
             g = -g
         if g == 1:
             return self
-        terms = {occ: (re // g, im // g) for occ, (re, im) in self.terms.items()}
-        return FockState(terms, self.scale * g)
+        orbits = {occ: (re // g, im // g) for occ, (re, im) in self.orbits.items()}
+        return FockState._of(orbits, self.scale * g)
 
     def times(self, scalar) -> "FockState":
-        """Scale by an exact real scalar (int or rational)."""
-        if not scalar or not self.terms:
-            return FockState({})
-        return FockState(self.terms, self.scale * scalar)
+        """Scale by an exact real scalar (int or rational); a nonzero one shares the integers."""
+        if not scalar or not self.orbits:
+            return FockState._of({}, _ONE)
+        return FockState._of(self.orbits, self.scale * scalar)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FockState):
             return NotImplemented
-        a, b = self.terms, other.terms
+        a, b = self.orbits, other.orbits
         if len(a) != len(b):
             return False
         if not a:
             return True
-        ma, mb, _ = _multipliers(self.scale, other.scale)
+        ma, mb = _multipliers(self.scale, other.scale)
         for occ, (re, im) in a.items():
             o = b.get(occ)
             if o is None or re * ma != o[0] * mb or im * ma != o[1] * mb:
@@ -139,10 +222,10 @@ class FockState:
 
     def __hash__(self):
         c = self.canonical()
-        return hash((frozenset(c.terms.items()), c.scale if c.terms else None))
+        return hash((frozenset(c.orbits.items()), c.scale if c.orbits else None))
 
     def __repr__(self) -> str:
-        return f"FockState({len(self.terms)} monomials)"
+        return f"FockState({len(self.orbits)} orbits)"
 
 
 class BosonOperator:
@@ -152,15 +235,17 @@ class BosonOperator:
     acts as (cr + i ci) / den * prod b_dag^cre * prod b^ann, with cr, ci ints
     and cre/ann sparse tuples of (mode, power) pairs.  `terms` holds, per
     nonzero term, (cr, ci, ann, moves): the Gaussian integer, the annihilated
-    (mode, power) pairs and the net (mode, shift) of occupation numbers.
-    Products of operators are evaluated by composing their actions (`apply`
-    on states, `_product_on` on one monomial), never symbolically.
+    (mode, power) pairs and the net (mode, shift) of occupation numbers,
+    sorted by mode.  Products of operators are evaluated by composing their
+    actions (`apply` on states, `_product_on` on one monomial), never
+    symbolically.
     """
 
-    __slots__ = ("terms", "den")
+    __slots__ = ("terms", "den", "invariant_at")
 
     def __init__(self, terms, den: int = 1):
         self.den = den
+        self.invariant_at: dict = {}
         out = []
         for cr, ci, cre, ann in terms:
             if not (cr or ci):
@@ -175,13 +260,46 @@ class BosonOperator:
         self.terms = tuple(out)
 
 
+def _is_invariant(op: BosonOperator, nu: int) -> bool:
+    """Whether op commutes with every permutation of the modes 3..nu; memoized on op.
+
+    Renaming the modes by the transposition (3 4) or by the cycle
+    (3 4 ... nu), which generate the group, must only reorder op's terms.
+    Terms are compared as written, so an operator that splits one monomial
+    into several terms unevenly across an orbit is refused too.
+    """
+    ok = op.invariant_at.get(nu)
+    if ok is None:
+
+        def renamed(perm: dict) -> list:
+            return sorted(
+                (cr, ci, sorted((perm.get(m, m), p) for m, p in ann), sorted((perm.get(m, m), d) for m, d in moves))
+                for cr, ci, ann, moves in op.terms
+            )
+
+        cycle = {m: m + 1 if m < nu else 3 for m in range(3, nu + 1)}
+        ok = op.invariant_at[nu] = renamed({}) == renamed({3: 4, 4: 3}) == renamed(cycle)
+    return ok
+
+
 def apply(op: BosonOperator, psi: FockState) -> FockState:
-    """Exact linear action of op on psi, on the Gaussian-integer coefficients."""
+    """Exact linear action of op on psi, on the orbit integers.
+
+    Each representative is pushed through op and the output monomials are
+    folded into their representatives.  Only a term that moves a boson in or
+    out of a mode >= 3 can leave a representative, so only its outputs are
+    sorted, and only at nu >= 4.  Raises SymmetryError if op does not commute
+    with the permutations of the modes 3..nu.
+    """
+    nu = len(next(iter(psi.orbits), ())) - 1
+    if nu > 3 and not _is_invariant(op, nu):
+        raise SymmetryError("the operator does not commute with the permutations of the modes 3..nu")
     out: dict = {}
     get = out.get
     perm = math.perm
-    items = psi.terms.items()
+    items = psi.orbits.items()
     for cr, ci, ann, moves in op.terms:
+        fold = nu > 3 and moves and moves[-1][0] > 2
         for occ, (ar, ai) in items:
             factor = 1
             for mode, power in ann:
@@ -192,6 +310,8 @@ def apply(op: BosonOperator, psi: FockState) -> FockState:
                 new = list(occ)
                 for mode, d in moves:
                     new[mode] += d
+                if fold:
+                    new[3:] = sorted(new[3:], reverse=True)
                 occ = tuple(new)
             if ci:
                 vr = (ar * cr - ai * ci) * factor
@@ -202,15 +322,16 @@ def apply(op: BosonOperator, psi: FockState) -> FockState:
                 vi = ai * factor
             prev = get(occ)
             out[occ] = (vr, vi) if prev is None else (prev[0] + vr, prev[1] + vi)
-    return FockState(out, psi.scale if op.den == 1 else psi.scale / op.den)
+    return FockState._of(_nonzero(out), psi.scale if op.den == 1 else psi.scale / op.den)
 
 
 def _product_on(a: BosonOperator, b: BosonOperator, occ: tuple, sign: int, out: dict) -> None:
     """Add sign * (a b)|occ> into out, with the scale 1/(a.den b.den) left out.
 
-    Composes the integer terms of b, then a, on the one monomial occ; no
-    intermediate state is built.  out maps occupation tuples to Gaussian
-    integers (re, im) and may be left holding zeros.
+    Composes the integer terms of b, then a, on the one full-space monomial
+    occ; no intermediate state is built and nothing is folded.  out maps
+    occupation tuples to Gaussian integers (re, im) and may be left holding
+    zeros.
     """
     get = out.get
     perm = math.perm
@@ -246,11 +367,24 @@ def _product_on(a: BosonOperator, b: BosonOperator, occ: tuple, sign: int, out: 
 
 
 def _weighted(psi: FockState) -> list[tuple]:
-    """psi's monomials as (occ, re * w, im * w), w = prod occ_j! = <occ|occ>."""
+    """psi's orbits as (occ, re * w, im * w), w = prod occ_j! * prod_v m_v!.
+
+    m_v is the multiplicity of the value v in occ[3:], which is sorted, so
+    the product runs over runs of equal neighbours; at nu <= 3 it is 1.
+    """
     factorial = math.factorial
     out = []
-    for occ, (re, im) in psi.terms.items():
+    n = len(next(iter(psi.orbits), ()))
+    for occ, (re, im) in psi.orbits.items():
         weight = 1
+        if n > 4:
+            run = 1
+            for i in range(4, n):
+                if occ[i] == occ[i - 1]:
+                    run += 1
+                    weight *= run
+                else:
+                    run = 1
         for x in occ:
             if x > 1:
                 weight *= factorial(x)
@@ -261,9 +395,11 @@ def _weighted(psi: FockState) -> list[tuple]:
 def _dot(bra: list[tuple], phi: FockState) -> tuple[int, int]:
     """Integer parts (re, im) of <psi|phi> = (re + i im) * psi.scale * phi.scale.
 
-    bra is _weighted(psi); no rational is formed.
+    bra is _weighted(psi); no rational is formed.  Over the representatives,
+    <psi|phi> = sum conj(d) d' prod occ_j! prod_v m_v! / (nu - 2)!, since
+    |orbit| prod_v m_v! = (nu - 2)!; each term is divisible by (nu - 2)!.
     """
-    get = phi.terms.get
+    get = phi.orbits.get
     re = im = 0
     for occ, ar, ai in bra:
         other = get(occ)
@@ -271,6 +407,11 @@ def _dot(bra: list[tuple], phi: FockState) -> tuple[int, int]:
             br, bi = other
             re += ar * br + ai * bi
             im += ar * bi - ai * br
+    if bra and len(bra[0][0]) > 4:
+        f = math.factorial(len(bra[0][0]) - 3)
+        if re % f or im % f:
+            raise KernelError("an orbit overlap is not divisible by (nu - 2)!")
+        re, im = re // f, im // f
     return re, im
 
 
@@ -405,12 +546,10 @@ def seed_state(nu: int, tau: int) -> FockState:
         raise LabelError(f"tau={tau} must be nonnegative")
     terms = {}
     for j in range(tau + 1):
-        occ = [0] * (nu + 1)
-        occ[1] = tau - j
-        occ[2] = j
         c = math.comb(tau, j)
-        terms[tuple(occ)] = ((c, 0), (0, c), (-c, 0), (0, -c))[j % 4]
-    return FockState(terms)
+        terms[(0, tau - j, j) + (0,) * (nu - 2)] = ((c, 0), (0, c), (-c, 0), (0, -c))[j % 4]
+    # modes 3..nu are empty: every monomial is its own orbit
+    return FockState._of(terms, _ONE)
 
 
 @dataclass(frozen=True)
@@ -610,21 +749,23 @@ def _chain2_intrinsic(nu: int, sigma: int, t: int, barred: bool) -> FockState:
     # apply maps integer parts to integer parts whatever the scale, so the
     # kernel of the images' integer parts combines the spans' integer parts
     # (the ladder phases sit in the scales; only span[0]'s, the seed's 1, enters)
-    vec, _ = _kernel_ints([apply(down, v).terms for v in span])
+    # (folding scales each row by |orbit|, which leaves the kernel as it is)
+    vec, _ = _kernel_ints([apply(down, v).orbits for v in span])
     xr, xi = vec[0]
     if not (xr or xi):
         raise KernelError("kernel vector has no pure scalar-ladder component")
+    # dividing by x0 = xr + i xi: multiply each entry by its conjugate, scale by 1/|x0|^2
     out: dict = {}
-    for (cr, ci), v in zip(vec, span):
-        for occ, (re, im) in v.terms.items():
+    for (vr, vi), v in zip(vec, span):
+        cr, ci = vr * xr + vi * xi, vi * xr - vr * xi
+        for occ, (re, im) in v.orbits.items():
             prev = out.get(occ, _ZERO_PAIR)
             out[occ] = (prev[0] + re * cr - im * ci, prev[1] + re * ci + im * cr)
-    # dividing by x0 = xr + i xi: multiply by its conjugate, scale by 1/|x0|^2
-    terms = {occ: (re * xr + im * xi, im * xr - re * xi) for occ, (re, im) in out.items()}
-    state = FockState(terms, span[0].scale / (xr * xr + xi * xi)).canonical()
-    # canonical() makes the scale positive, so the phase shows in the integers
+    state = FockState._of(_nonzero(out), span[0].scale / (xr * xr + xi * xi)).canonical()
+    # canonical() makes the scale positive, so the phase shows in the integers;
+    # the marker is an orbit of one monomial, so its d is its coefficient
     marker = (sigma - t, t) + (0,) * (nu - 1)
-    lead_re, lead_im = state.terms[marker]
+    lead_re, lead_im = state.orbits[marker]
     if lead_im != 0 or lead_re <= 0:
         raise KernelError("phase fixing failed: leading coefficient not positive real")
     return state
@@ -696,7 +837,7 @@ def _casimir_generators(nu: int, group: CasimirGroup, barred: bool) -> tuple[Bos
 
 @lru_cache(maxsize=None)
 def _monomial_index(nu: int) -> tuple[dict, list]:
-    """(ids, occs): occupation tuples over nu+1 modes, numbered as the Casimir rows meet them.
+    """(ids, occs): orbit representatives over nu+1 modes, numbered as the Casimir rows meet them.
 
     occs[ids[occ]] is occ.  The rows of every group and convention at nu
     share the numbering, so casimir_apply sums them on int keys.
@@ -706,13 +847,15 @@ def _monomial_index(nu: int) -> tuple[dict, list]:
 
 @lru_cache(maxsize=None)
 def _casimir_rows(nu: int, group: CasimirGroup, barred: bool) -> tuple[tuple, dict]:
-    """Memo of the squares that `group` adds to the chain, monomial by monomial.
+    """Memo of the squares that `group` adds to the chain, representative by representative.
 
     Returns (gens, rows).  gens are the rotations for SO(nu) and the mixings
     d_j for SO(nu+1), whose Casimir is then C_SO(nu) + sum_j d_j**2.
-    rows[occ] is the flat tuple (id_1, re_1, im_1, id_2, ...) of the nonzero
-    Gaussian-integer coefficients of sum_g g**2 |occ>, each output monomial
-    given by its number in _monomial_index(nu); casimir_apply fills it.
+    rows[rep] is the flat tuple (id_1, re_1, im_1, id_2, ...) of the nonzero
+    Gaussian-integer coefficients of sum_g g**2 |rep>, folded into orbit
+    representatives, each given by its number in _monomial_index(nu);
+    casimir_apply fills it.  No g commutes with the permutations of the
+    modes 3..nu, but sum_g g**2 does, so the folded row is exact.
     """
     gens = _casimir_generators(nu, group, barred)
     if group is CasimirGroup.SO_NU_PLUS_ONE:
@@ -730,10 +873,11 @@ def casimir_apply(
 ) -> FockState:
     """Quadratic Casimir (sum of squared generators) applied exactly to psi.
 
-    Each generator's square is composed on one monomial at a time from the
-    integer terms, and the sum per monomial is memoized; C psi is then one
-    pass over psi's monomials per table.  SO(nu) does not depend on the
-    convention, so its table serves both groups and both conventions.
+    Each generator's square is composed on one representative at a time from
+    the integer terms (`_product_on`), and the folded sum per representative
+    is memoized; C psi is then one pass over psi's orbits per table.  SO(nu)
+    does not depend on the convention, so its table serves both groups and
+    both conventions.
     """
     barred = Convention(convention) is Convention.BARRED
     tables = [_casimir_rows(nu, CasimirGroup.SO_NU, False)]
@@ -743,12 +887,14 @@ def casimir_apply(
     out: dict = {}
     get = out.get
     for gens, rows in tables:
-        for occ, (ar, ai) in psi.terms.items():
+        for occ, (ar, ai) in psi.orbits.items():
             row = rows.get(occ)
             if row is None:
                 acc: dict = {}
                 for g in gens:
                     _product_on(g, g, occ, 1, acc)
+                if nu > 3:
+                    acc = _fold(acc)
                 flat = []
                 for key, (re, im) in acc.items():
                     if re or im:
@@ -766,7 +912,7 @@ def casimir_apply(
                     vr, vi = ar * cr, ai * cr
                 prev = get(i)
                 out[i] = (vr, vi) if prev is None else (prev[0] + vr, prev[1] + vi)
-    return FockState({occs[i]: c for i, c in out.items()}, psi.scale)
+    return FockState._of({occs[i]: c for i, c in out.items() if c[0] or c[1]}, psi.scale)
 
 
 def casimir_check(
@@ -789,7 +935,10 @@ def is_exact_eigenstate(
     eigenvalue,
     convention: Convention = Convention.STANDARD,
 ) -> bool:
-    """Termwise check C psi == eigenvalue * psi (exact, monomial by monomial)."""
+    """Termwise check C psi == eigenvalue * psi (exact, orbit by orbit).
+
+    psi.times shares psi's integers, so no scaled copy of psi is made.
+    """
     return casimir_apply(nu, psi, group, convention) == psi.times(rational(eigenvalue))
 
 
@@ -811,10 +960,12 @@ def _monomials(nu: int, cutoff: int):
 def su11_commutator_check(nu: int, cutoff: int = 6) -> bool:
     """Quasi-spin commutators and pair-operator centralizer checks, symbolically.
 
-    Verified exactly on every occupation monomial with total boson number up
-    to the cutoff: [Q+, Q-] = -2 Q0, [Q0, Q+-] = +-Q+-, the b-space pair
-    creator commutes with all rotation generators, and the full pair creator
-    commutes with rotation and mixing generators alike.
+    Verified exactly on every full-space occupation monomial with total
+    boson number up to the cutoff: [Q+, Q-] = -2 Q0, [Q0, Q+-] = +-Q+-, the
+    b-space pair creator commutes with all rotation generators, and the full
+    pair creator commutes with rotation and mixing generators alike.  A single
+    monomial is not symmetric under permutations of the modes 3..nu, so both
+    sides are composed on it with `_product_on`, never held as a FockState.
     """
     check_dimension(nu)
     if cutoff < 0:
@@ -824,30 +975,24 @@ def su11_commutator_check(nu: int, cutoff: int = 6) -> bool:
     mix = _casimir_generators(nu, CasimirGroup.SO_NU_PLUS_ONE, False)[len(rot) :]
     pair_b = pair_creation_b(nu)
     pair_full = pair_creation_full(nu)
+    one = BosonOperator([(1, 0, (), ())])
 
-    def comm(a: BosonOperator, b: BosonOperator, occ: tuple) -> FockState:
+    def vanishes(occ: tuple, products) -> bool:
+        """Whether the sum of sign * (a b)|occ> / (a.den b.den) over products (a, b, sign) is 0."""
+        den = math.lcm(*(a.den * b.den for a, b, _ in products))
         out: dict = {}
-        _product_on(a, b, occ, 1, out)
-        _product_on(b, a, occ, -1, out)
-        return FockState(out, rational(1, a.den * b.den))
+        for a, b, sign in products:
+            _product_on(a, b, occ, sign * den // (a.den * b.den), out)
+        return not any(re or im for re, im in out.values())
 
-    for occ in _monomials(nu, cutoff):
-        m = FockState({occ: (1, 0)})
-        if comm(qp, qm, occ) != apply(q0, m).times(-2):
-            return False
-        if comm(q0, qp, occ) != apply(qp, m):
-            return False
-        if comm(q0, qm, occ) != apply(qm, m).times(-1):
-            return False
-        for g in rot:
-            if not comm(pair_b, g, occ).is_zero:
-                return False
-            if not comm(pair_full, g, occ).is_zero:
-                return False
-        for g in mix:
-            if not comm(pair_full, g, occ).is_zero:
-                return False
-    return True
+    # each identity is a sum of (a, b, sign) products that must vanish
+    identities = [
+        ((qp, qm, 1), (qm, qp, -1), (q0, one, 2)),
+        ((q0, qp, 1), (qp, q0, -1), (qp, one, -1)),
+        ((q0, qm, 1), (qm, q0, -1), (qm, one, 1)),
+    ]
+    identities += [((p, g, 1), (g, p, -1)) for p, gens in ((pair_b, rot), (pair_full, rot + mix)) for g in gens]
+    return all(vanishes(occ, products) for occ in _monomials(nu, cutoff) for products in identities)
 
 
 def state_to_json(psi: FockState) -> list[dict]:
