@@ -164,11 +164,13 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(CLI_SUITES) if args.suites is None else args.suites.split(",")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in CLI_SUITES:
             raise _UsageError(
                 f"unknown suite {name!r}; available: {','.join(CLI_SUITES)}"
             )
+        if name in names[:i]:
+            raise _UsageError(f"suite {name!r} is named twice")
     all_passed = True
     total = 0
     for name in names:

@@ -14,7 +14,9 @@ and touch the scale once per call; the only GaussianRational here is the
 value `inner` returns.  The intrinsic deformed states come from
 fraction-free (Bareiss) elimination over the Gaussian integers.  The two
 state builders are the ladders: each state is cached once, in its builder,
-and is one `apply` from the cached state below it.  Each overlap is one
+and is one `apply` from the cached state below it.  The cached states share
+their keys and Gaussian pairs: each distinct value is one object, the first
+one cached, held in a dict that `clear_caches` empties.  Each overlap is one
 weighted integer dot, and one rule (`_signed_square`) turns it into the
 (sign, square) pair that both `oracle_bracket` and `overlap_squares` return.
 No other module reads a state's integers or scale.
@@ -74,6 +76,7 @@ __all__ = [
 
 _ONE = rational(1)
 _ZERO_PAIR = (0, 0)
+_SHARED: dict = {}  # the first cached object of each key and Gaussian pair; see _shared
 
 
 class KernelError(RuntimeError):
@@ -150,7 +153,8 @@ class FockState:
     by |orbit|.  `terms` is the derived full-space view {occ: c}, one entry
     per monomial.  The constructor takes such full-space terms; it drops
     zero pairs and raises SymmetryError unless the terms are symmetric.
-    Instances are treated as immutable and may share their dict.
+    Instances are treated as immutable and may share their dict; the cached
+    states also share their keys and pairs, one object per distinct value.
     """
 
     __slots__ = ("orbits", "scale")
@@ -635,6 +639,15 @@ def _cached_on(label):
     return decorate
 
 
+def _shared(psi: FockState) -> FockState:
+    """psi with each key and pair of its orbits replaced by the first equal one cached.
+
+    Keys have length nu + 1 >= 3 and pairs length 2, so one dict holds both without confusion.
+    """
+    share = _SHARED.setdefault
+    return FockState._of({share(occ, occ): share(c, c) for occ, c in psi.orbits.items()}, psi.scale)
+
+
 def _chain1_label(nu: int, N: int, n: int, tau: int) -> tuple:
     check_chain1(nu, N, n, tau)
     return nu, N, n, abs(tau)
@@ -657,6 +670,7 @@ def build_chain1_state(nu: int, N: int, n: int, tau: int) -> NormalizedState:
         psi = apply(pair_creation_b(nu), below).times(-1)
     else:
         psi = seed_state(nu, tau)
+    psi = _shared(psi)
     return NormalizedState(psi, _real_norm_sq(psi))
 
 
@@ -796,6 +810,7 @@ def build_chain2_state(
     else:
         below = build_chain2_state(nu, N - 2, sigma, tau, convention).state
         psi = apply(pair_creation_full(nu, barred), below).times(-1)
+    psi = _shared(psi)
     return NormalizedState(psi, _real_norm_sq(psi))
 
 
@@ -1026,6 +1041,7 @@ _CACHED = (
 
 
 def clear_caches() -> None:
-    """Drop memoized states (one cache per chain builder), Casimir rows and operators."""
+    """Drop memoized states (one cache per chain builder) and their shared values, Casimir rows and operators."""
     for fn in _CACHED:
         fn.cache_clear()
+    _SHARED.clear()

@@ -77,6 +77,9 @@ def test_usage_error_exits_1(capsys):
     assert code == 1 and "error" in err
     code, _, err = run(["verify", "--suites", "nonsense"], capsys)
     assert code == 1 and "unknown suite" in err
+    # a repeated suite would run twice and count its checks twice
+    code, out, err = run(["verify", "--suites", "orth,orth", "--nu-max", "2", "--N-max", "2"], capsys)
+    assert (code, out, err) == (1, "", "error: suite 'orth' is named twice\n")
 
 
 def test_table_json_golden(tmp_path, capsys):

@@ -811,6 +811,24 @@ def test_every_oracle_state_is_pinned(cold_caches):
     assert digest.hexdigest() == "75e08203b1c75391f87951fe8c81033779bd82fa7d512a9ef3e9798628929ff9"
 
 
+def test_cached_states_share_each_key_and_pair(cold_caches):
+    # equal keys and equal Gaussian pairs of the cached states are one object each;
+    # the sharing changes no value, so a state rebuilt cold compares and hashes alike
+    def build(label):
+        return (build_chain1_state if label[0] == "I" else build_chain2_state)(*label[1:]).state
+
+    states = {label: build(label) for label in _state_digest_labels()}
+    keys = [occ for psi in states.values() for occ in psi.orbits]
+    pairs = [c for psi in states.values() for c in psi.orbits.values()]
+    for values in (keys, pairs):
+        assert len({id(v) for v in values}) == len(set(values)) < len(values)
+    clear_caches()
+    assert not fockoracle._SHARED
+    for label, psi in states.items():
+        rebuilt = build(label)
+        assert rebuilt == psi and hash(rebuilt) == hash(psi), label
+
+
 def test_oracle_bracket_equals_the_fraction_reference():
     zeros = 0
     for nu, N, tau, ns, sigmas in _bracket_blocks(4, 8):
