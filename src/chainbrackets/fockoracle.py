@@ -30,10 +30,11 @@ those permutations and sums the output monomials into their representatives
 (the fold); the Casimir rows are folded the same way.  An overlap is
 sum conj(d) d' prod occ_j! prod_v m_v! / (nu - 2)! over the
 representatives, with m_v the multiplicities of the values in occ[3:]; the
-division is exact.  At nu <= 3 every orbit is one monomial and nothing is
-folded.  The full-space monomials exist only as the
-derived view `FockState.terms`; `su11_commutator_check` composes operators
-on single full-space monomials with `_product_on`.
+division is exact.  The weight prod occ_j! prod_v m_v! is memoized per key
+and |orbit| per occ[3:], one int each until `clear_caches`.  At nu <= 3
+every orbit is one monomial and nothing is folded.  The full-space monomials
+exist only as the derived view `FockState.terms`; `su11_commutator_check`
+composes operators on single full-space monomials with `_product_on`.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ __all__ = [
 _ONE = rational(1)
 _ZERO_PAIR = (0, 0)
 _SHARED: dict = {}  # the first cached object of each key and Gaussian pair; see _shared
+_WEIGHT: dict = {}  # prod occ_j! prod_v m_v! of each orbit representative occ; see _weight
+_SIZE: dict = {}  # |orbit| of each tail occ[3:]; see _orbit_size
 
 
 class KernelError(RuntimeError):
@@ -111,10 +114,12 @@ def _nonzero(terms: dict) -> dict:
     return {occ: c for occ, c in terms.items() if c[0] or c[1]}
 
 
-def _orbit_size(rep: tuple) -> int:
-    """|orbit| = (nu - 2)! / prod_v m_v!, with m_v the multiplicity of the value v in rep[3:]."""
-    tail = rep[3:]
-    return math.factorial(len(tail)) // math.prod(math.factorial(tail.count(v)) for v in set(tail))
+def _orbit_size(tail: tuple) -> int:
+    """|orbit| = (nu - 2)! / prod_v m_v!, m_v the multiplicity of the value v in tail = rep[3:]; memoized."""
+    size = _SIZE.get(tail)
+    if size is None:
+        size = _SIZE[tail] = math.factorial(len(tail)) // math.prod(map(math.factorial, map(tail.count, set(tail))))
+    return size
 
 
 def _arrangements(tail: tuple):
@@ -180,7 +185,7 @@ class FockState:
         """Full-space view {occ: (re, im)}: every monomial, under the same scale."""
         out = {}
         for rep, (re, im) in self.orbits.items():
-            size = _orbit_size(rep)
+            size = _orbit_size(rep[3:])
             c = (re // size, im // size)
             head = rep[:3]
             for tail in _arrangements(rep[3:]):
@@ -195,7 +200,8 @@ class FockState:
         """The same state with coprime full-space integers and a positive scale."""
         if not self.orbits:
             return self
-        g = math.gcd(*(x // _orbit_size(occ) for occ, pair in self.orbits.items() for x in pair))
+        # |orbit| divides re and im, so gcd(re, im) // |orbit| is the gcd of the full-space pair
+        g = math.gcd(*(math.gcd(re, im) // _orbit_size(occ[3:]) for occ, (re, im) in self.orbits.items()))
         if self.scale < 0:
             g = -g
         if g == 1:
@@ -370,71 +376,65 @@ def _product_on(a: BosonOperator, b: BosonOperator, occ: tuple, sign: int, out: 
             out[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
 
 
-def _weighted(psi: FockState) -> list[tuple]:
-    """psi's orbits as (occ, re * w, im * w), w = prod occ_j! * prod_v m_v!.
-
-    m_v is the multiplicity of the value v in occ[3:], which is sorted, so
-    the product runs over runs of equal neighbours; at nu <= 3 it is 1.
-    """
-    factorial = math.factorial
-    out = []
-    n = len(next(iter(psi.orbits), ()))
-    for occ, (re, im) in psi.orbits.items():
-        weight = 1
-        if n > 4:
+def _weight(occ: tuple) -> int:
+    """w = prod occ_j! * prod_v m_v!, memoized; occ[3:] is sorted, so each m_v is a run of equal neighbours."""
+    w = run = 1
+    for i in range(4, len(occ)):
+        if occ[i] == occ[i - 1]:
+            run += 1
+            w *= run
+        else:
             run = 1
-            for i in range(4, n):
-                if occ[i] == occ[i - 1]:
-                    run += 1
-                    weight *= run
-                else:
-                    run = 1
-        for x in occ:
-            if x > 1:
-                weight *= factorial(x)
-        out.append((occ, re * weight, im * weight))
-    return out
+    for x in occ:
+        if x > 1:
+            w *= math.factorial(x)
+    _WEIGHT[occ] = w
+    return w
 
 
-def _dot(bra: list[tuple], phi: FockState) -> tuple[int, int]:
+def _dot(psi: FockState, phi: FockState) -> tuple[int, int]:
     """Integer parts (re, im) of <psi|phi> = (re + i im) * psi.scale * phi.scale.
 
-    bra is _weighted(psi); no rational is formed.  Over the representatives,
-    <psi|phi> = sum conj(d) d' prod occ_j! prod_v m_v! / (nu - 2)!, since
-    |orbit| prod_v m_v! = (nu - 2)!; each term is divisible by (nu - 2)!.
+    No rational is formed.  Over the representatives,
+    <psi|phi> = sum conj(d) d' w / (nu - 2)!, w = prod occ_j! prod_v m_v!,
+    since |orbit| prod_v m_v! = (nu - 2)!; each term is divisible by
+    (nu - 2)!.  Only the orbits that both states hold are weighed, each with
+    its memoized w.  States of different nu raise LabelError.
     """
-    get = phi.orbits.get
+    a, b = psi.orbits, phi.orbits
+    if not a or not b:
+        return 0, 0
+    n, m = len(next(iter(a))), len(next(iter(b)))
+    if n != m:
+        raise LabelError(f"the states have different dimensions, nu={n - 1} and nu={m - 1}")
+    get, weight = b.get, _WEIGHT.get
     re = im = 0
-    for occ, ar, ai in bra:
+    for occ, (ar, ai) in a.items():
         other = get(occ)
         if other is not None:
+            w = weight(occ) or _weight(occ)
             br, bi = other
-            re += ar * br + ai * bi
-            im += ar * bi - ai * br
-    if bra and len(bra[0][0]) > 4:
-        f = math.factorial(len(bra[0][0]) - 3)
+            re += (ar * br + ai * bi) * w
+            im += (ar * bi - ai * br) * w
+    if n > 4:
+        f = math.factorial(n - 3)
         if re % f or im % f:
             raise KernelError("an orbit overlap is not divisible by (nu - 2)!")
         re, im = re // f, im // f
     return re, im
 
 
-def _real_dot(psi: FockState, phi: FockState, bra: list[tuple] | None = None) -> int:
-    """Integer part of the real overlap <psi|phi>, reusing bra = _weighted(psi) if given.
-
-    A nonzero imaginary part raises KernelError.
-    """
-    re, im = _dot(_weighted(psi) if bra is None else bra, phi)
+def _real_dot(psi: FockState, phi: FockState) -> int:
+    """Integer part of the real overlap <psi|phi>; a nonzero imaginary part raises KernelError."""
+    re, im = _dot(psi, phi)
     if im:
-        raise KernelError(
-            f"expected a real inner product, got imaginary part {im * psi.scale * phi.scale}"
-        )
+        raise KernelError(f"expected a real inner product, got imaginary part {im * psi.scale * phi.scale}")
     return re
 
 
 def inner(psi: FockState, phi: FockState) -> GaussianRational:
     """Boson Fock inner product <psi|phi> with the monomial weights prod occ_j!."""
-    re, im = _dot(_weighted(psi), phi)
+    re, im = _dot(psi, phi)
     scale = psi.scale * phi.scale
     return GaussianRational(re * scale, im * scale)
 
@@ -604,16 +604,12 @@ def _signed_square(dot: int, unit1: tuple, unit2: tuple) -> tuple:
 
 
 def overlap_squares(bras: list[NormalizedState], kets: list[NormalizedState]) -> list[list[tuple]]:
-    """(sign, square) of <bra_i|ket_j> for every pair, as oracle_bracket gives one.
-
-    Each bra is weighted once, not once per ket.  A nonzero imaginary part
-    raises KernelError.
-    """
+    """(sign, square) of <bra_i|ket_j> for every pair, as oracle_bracket gives one; KernelError if complex."""
     kets = [(two.state, _unit(two)) for two in kets]
     block = []
     for one in bras:
-        psi, bra, unit = one.state, _weighted(one.state), _unit(one)
-        block.append([_signed_square(_real_dot(psi, phi, bra), unit, u) for phi, u in kets])
+        psi, unit = one.state, _unit(one)
+        block.append([_signed_square(_real_dot(psi, phi), unit, u) for phi, u in kets])
     return block
 
 
@@ -1041,7 +1037,8 @@ _CACHED = (
 
 
 def clear_caches() -> None:
-    """Drop memoized states (one cache per chain builder) and their shared values, Casimir rows and operators."""
+    """Drop memoized states, shared values, orbit weights and sizes, Casimir rows and operators."""
     for fn in _CACHED:
         fn.cache_clear()
-    _SHARED.clear()
+    for memo in (_SHARED, _WEIGHT, _SIZE):
+        memo.clear()

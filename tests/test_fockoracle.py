@@ -33,7 +33,6 @@ from chainbrackets.fockoracle import (
     _product_on,
     _real_dot,
     _real_norm_sq,
-    _weighted,
     apply,
     b_number_operator,
     build_chain1_state,
@@ -829,6 +828,41 @@ def test_cached_states_share_each_key_and_pair(cold_caches):
         assert rebuilt == psi and hash(rebuilt) == hash(psi), label
 
 
+def test_weight_and_size_memos_hold_one_exact_int_per_key(cold_caches):
+    # every chain state at nu <= 6, N <= 8 and every bracket between them fill the memos;
+    # each entry is checked against a count written here, and a cold rebuild changes nothing
+    def brackets():
+        out = {}
+        for nu, N, tau, ns, sigmas in _bracket_blocks(6, 8):
+            for n in ns:
+                build_chain1_state(nu, N, n, tau)
+            for sigma in sigmas:
+                for conv in Convention:
+                    build_chain2_state(nu, N, sigma, tau, conv)
+                    for n in ns:
+                        out[nu, N, n, sigma, tau, conv] = oracle_bracket(nu, N, n, sigma, tau, conv)
+        return out
+
+    first = brackets()
+    weights, sizes = fockoracle._WEIGHT, fockoracle._SIZE
+    assert weights and sizes
+    for occ, w in weights.items():
+        tail = occ[3:]
+        assert w == math.prod(math.factorial(x) for x in occ) * math.prod(
+            math.factorial(tail.count(v)) for v in set(tail)
+        ), occ
+        # the memo keeps the cached states' own keys, no copies
+        assert fockoracle._SHARED[occ] is occ
+    # some tail holds a run of three equal values, so a run factor above 2 is checked
+    assert any(len(occ) > 6 and occ[4] == occ[5] == occ[6] for occ in weights)
+    for tail, size in sizes.items():
+        assert size == len(set(permutations(tail))), tail
+    assert any(size > 1 for size in sizes.values())
+    clear_caches()
+    assert not weights and not sizes
+    assert brackets() == first
+
+
 def test_oracle_bracket_equals_the_fraction_reference():
     zeros = 0
     for nu, N, tau, ns, sigmas in _bracket_blocks(4, 8):
@@ -851,15 +885,34 @@ def test_integer_dot_carries_the_scales_and_rejects_imaginary_overlaps():
     a = FockState({(0, 2, 0): (9, -6), (1, 0, 1): (0, 2)}, rational(1, 6))
     b = FockState({(0, 2, 0): (-2, 5), (1, 0, 1): (4, 0), (0, 0, 2): (7, 0)})
     for bra, ket in ((a, b), (b, a), (a, a)):
-        re, im = _dot(_weighted(bra), ket)
+        re, im = _dot(bra, ket)
         scale = bra.scale * ket.scale
         assert inner(bra, ket) == gr(re * scale, im * scale)
-    # a multiple of b overlaps b in a real number, whatever b's complex coefficients
+    # a multiple of b overlaps b in a real number, whatever b's complex coefficients;
+    # the dot taken with a cold weight memo equals the dot taken again with a warm one
     scaled_b = b.times(rational(-5, 3))
-    re, im = _dot(_weighted(scaled_b), b)
-    assert im == 0 and _real_dot(scaled_b, b) == _real_dot(scaled_b, b, _weighted(scaled_b)) == re
+    clear_caches()
+    re, im = _dot(scaled_b, b)
+    assert fockoracle._WEIGHT
+    assert im == 0 and _real_dot(scaled_b, b) == _dot(scaled_b, b)[0] == re
     with pytest.raises(KernelError, match="imaginary part"):
         _real_dot(a, b)
+
+
+def test_states_of_different_nu_have_no_inner_product():
+    # keys of different lengths never meet, so the dot would read a silent 0
+    pairs = (
+        (3, seed_state(3, 1), 4, seed_state(4, 1)),
+        (4, build_chain1_state(4, 2, 2, 0).state, 5, build_chain1_state(5, 2, 2, 0).state),
+    )
+    for nu, psi, mu, phi in pairs:
+        for bra, ket, match in ((psi, phi, f"nu={nu} and nu={mu}"), (phi, psi, f"nu={mu} and nu={nu}")):
+            with pytest.raises(LabelError, match=match):
+                inner(bra, ket)
+            with pytest.raises(LabelError, match=match):
+                _real_dot(bra, ket)
+    # the zero state has no dimension and overlaps every state in 0
+    assert inner(FockState({}), seed_state(4, 1)) == inner(seed_state(3, 1), FockState({})) == gr(0)
 
 
 def test_oracle_bracket_rejects_a_complex_overlap(monkeypatch):
