@@ -16,10 +16,12 @@ fraction-free (Bareiss) elimination over the Gaussian integers.  The two
 state builders are the ladders: each state is cached once, in its builder,
 and is one `apply` from the cached state below it.  The cached states share
 their keys and Gaussian pairs: each distinct value is one object, the first
-one cached, held in a dict that `clear_caches` empties.  Each overlap is one
-weighted integer dot, and one rule (`_signed_square`) turns it into the
-(sign, square) pair that both `oracle_bracket` and `overlap_squares` return.
-No other module reads a state's integers or scale.
+one cached.  Each overlap is one weighted integer dot, and one rule
+(`_signed_square`) turns it into the (sign, square) pair that both
+`oracle_bracket` and `overlap_squares` return.  No other module reads a
+state's integers or scale.  A memo that outlives its object is a pure
+constructor under lru_cache or a module dict (_SHARED, _WEIGHT, _SIZE,
+_ROWS), and `clear_caches` empties them all.
 
 Every state is built from the seed (b_1^dag + i b_2^dag)^tau with SO(nu)
 scalars only, so it is symmetric under permutations of the modes
@@ -31,10 +33,10 @@ those permutations and sums the output monomials into their representatives
 sum conj(d) d' prod occ_j! prod_v m_v! / (nu - 2)! over the
 representatives, with m_v the multiplicities of the values in occ[3:]; the
 division is exact.  The weight prod occ_j! prod_v m_v! is memoized per key
-and |orbit| per occ[3:], one int each until `clear_caches`.  At nu <= 3
-every orbit is one monomial and nothing is folded.  The full-space monomials
-exist only as the derived view `FockState.terms`; `su11_commutator_check`
-composes operators on single full-space monomials with `_product_on`.
+and |orbit| per occ[3:], one int each.  At nu <= 3 every orbit is one
+monomial and nothing is folded.  The full-space monomials exist only as the
+derived view `FockState.terms`; `su11_commutator_check` composes operators
+on single full-space monomials with `_product_on`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 
 from .exactnum import GaussianRational, rational
 from .labels import (
@@ -80,6 +82,7 @@ _ZERO_PAIR = (0, 0)
 _SHARED: dict = {}  # the first cached object of each key and Gaussian pair; see _shared
 _WEIGHT: dict = {}  # prod occ_j! prod_v m_v! of each orbit representative occ; see _weight
 _SIZE: dict = {}  # |orbit| of each tail occ[3:]; see _orbit_size
+_ROWS: dict = {}  # per nu, the Casimir rows and the numbering of their outputs; see casimir_apply
 
 
 class KernelError(RuntimeError):
@@ -271,15 +274,20 @@ class BosonOperator:
 
 
 def _is_invariant(op: BosonOperator, nu: int) -> bool:
-    """Whether op commutes with every permutation of the modes 3..nu; memoized on op.
+    """Whether op may act on a state over the modes 0..nu; decided once per nu and memoized on op.
 
-    Renaming the modes by the transposition (3 4) or by the cycle
-    (3 4 ... nu), which generate the group, must only reorder op's terms.
-    Terms are compared as written, so an operator that splits one monomial
-    into several terms unevenly across an orbit is refused too.
+    An operator on a mode beyond nu raises LabelError.  At nu >= 4, op must
+    commute with every permutation of the modes 3..nu: renaming the modes by
+    the transposition (3 4) or by the cycle (3 4 ... nu), which generate the
+    group, must only reorder op's terms.  Terms are compared as written, so
+    an operator that splits one monomial into several terms unevenly across
+    an orbit is refused too.
     """
     ok = op.invariant_at.get(nu)
     if ok is None:
+        top = max((mode for _, _, ann, moves in op.terms for mode, _ in ann + moves), default=0)
+        if top > nu:
+            raise LabelError(f"the operator needs nu >= {top}, the state has nu={nu}")
 
         def renamed(perm: dict) -> list:
             return sorted(
@@ -288,7 +296,7 @@ def _is_invariant(op: BosonOperator, nu: int) -> bool:
             )
 
         cycle = {m: m + 1 if m < nu else 3 for m in range(3, nu + 1)}
-        ok = op.invariant_at[nu] = renamed({}) == renamed({3: 4, 4: 3}) == renamed(cycle)
+        ok = op.invariant_at[nu] = nu <= 3 or renamed({}) == renamed({3: 4, 4: 3}) == renamed(cycle)
     return ok
 
 
@@ -299,10 +307,11 @@ def apply(op: BosonOperator, psi: FockState) -> FockState:
     folded into their representatives.  Only a term that moves a boson in or
     out of a mode >= 3 can leave a representative, so only its outputs are
     sorted, and only at nu >= 4.  Raises SymmetryError if op does not commute
-    with the permutations of the modes 3..nu.
+    with the permutations of the modes 3..nu, and LabelError if op acts on a
+    mode beyond nu; a zero psi gives zero.
     """
     nu = len(next(iter(psi.orbits), ())) - 1
-    if nu > 3 and not _is_invariant(op, nu):
+    if psi.orbits and not _is_invariant(op, nu):
         raise SymmetryError("the operator does not commute with the permutations of the modes 3..nu")
     out: dict = {}
     get = out.get
@@ -572,6 +581,12 @@ class NormalizedState:
     def norm_squared(self):
         return _real_norm_sq(self.state) / self.norm_sq
 
+    @cached_property
+    def unit(self) -> tuple[int, int, int]:
+        """sign(scale) and the integers num, den with scale**2 / norm_sq = num / den; computed once."""
+        a, b = self.state.scale.numerator, self.state.scale.denominator
+        return (1 if a > 0 else -1), a * a * self.norm_sq.denominator, b * b * self.norm_sq.numerator
+
 
 def _real_norm_sq(psi: FockState):
     """<psi|psi> as one rational built from the integer dot."""
@@ -581,14 +596,8 @@ def _real_norm_sq(psi: FockState):
     return rational(nsq * psi.scale.numerator**2, psi.scale.denominator**2)
 
 
-def _unit(st: NormalizedState) -> tuple[int, int, int]:
-    """sign(scale) and the integers num, den with scale**2 / norm_sq = num / den."""
-    a, b = st.state.scale.numerator, st.state.scale.denominator
-    return (1 if a > 0 else -1), a * a * st.norm_sq.denominator, b * b * st.norm_sq.numerator
-
-
 def _signed_square(dot: int, unit1: tuple, unit2: tuple) -> tuple:
-    """(sign, square) of <1|2> / sqrt(<1|1> <2|2>), given unit = _unit(state) of each.
+    """(sign, square) of <1|2> / sqrt(<1|1> <2|2>), given the NormalizedState.unit of each.
 
     dot is the integer part of the raw overlap, <1|2> = dot * s1 * s2 with
     s1, s2 the states' scales, so the square is
@@ -605,10 +614,10 @@ def _signed_square(dot: int, unit1: tuple, unit2: tuple) -> tuple:
 
 def overlap_squares(bras: list[NormalizedState], kets: list[NormalizedState]) -> list[list[tuple]]:
     """(sign, square) of <bra_i|ket_j> for every pair, as oracle_bracket gives one; KernelError if complex."""
-    kets = [(two.state, _unit(two)) for two in kets]
+    kets = [(two.state, two.unit) for two in kets]
     block = []
     for one in bras:
-        psi, unit = one.state, _unit(one)
+        psi, unit = one.state, one.unit
         block.append([_signed_square(_real_dot(psi, phi), unit, u) for phi, u in kets])
     return block
 
@@ -826,7 +835,7 @@ def oracle_bracket(
     """
     one = build_chain1_state(nu, N, n, tau)
     two = build_chain2_state(nu, N, sigma, tau, convention)
-    return _signed_square(_real_dot(one.state, two.state), _unit(one), _unit(two))
+    return _signed_square(_real_dot(one.state, two.state), one.unit, two.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -835,45 +844,15 @@ def oracle_bracket(
 
 
 @lru_cache(maxsize=None)
-def _casimir_generators(nu: int, group: CasimirGroup, barred: bool) -> tuple[BosonOperator, ...]:
-    gens = [
-        so_generator(nu, j, k)
-        for j in range(1, nu + 1)
-        for k in range(j + 1, nu + 1)
-    ]
-    if group is CasimirGroup.SO_NU_PLUS_ONE:
-        gens += [d_generator(nu, j, barred) for j in range(1, nu + 1)]
-    return tuple(gens)
+def _rotations(nu: int) -> tuple[BosonOperator, ...]:
+    """The SO(nu) generators so_generator(nu, j, k), 1 <= j < k <= nu."""
+    return tuple(so_generator(nu, j, k) for j in range(1, nu + 1) for k in range(j + 1, nu + 1))
 
 
 @lru_cache(maxsize=None)
-def _monomial_index(nu: int) -> tuple[dict, list]:
-    """(ids, occs): orbit representatives over nu+1 modes, numbered as the Casimir rows meet them.
-
-    occs[ids[occ]] is occ.  The rows of every group and convention at nu
-    share the numbering, so casimir_apply sums them on int keys.
-    """
-    return {}, []
-
-
-@lru_cache(maxsize=None)
-def _casimir_rows(nu: int, group: CasimirGroup, barred: bool) -> tuple[tuple, dict]:
-    """Memo of the squares that `group` adds to the chain, representative by representative.
-
-    Returns (gens, rows).  gens are the rotations for SO(nu) and the mixings
-    d_j for SO(nu+1), whose Casimir is then C_SO(nu) + sum_j d_j**2.
-    rows[rep] is the flat tuple (id_1, re_1, im_1, id_2, ...) of the nonzero
-    Gaussian-integer coefficients of sum_g g**2 |rep>, folded into orbit
-    representatives, each given by its number in _monomial_index(nu);
-    casimir_apply fills it.  No g commutes with the permutations of the
-    modes 3..nu, but sum_g g**2 does, so the folded row is exact.
-    """
-    gens = _casimir_generators(nu, group, barred)
-    if group is CasimirGroup.SO_NU_PLUS_ONE:
-        gens = gens[len(_casimir_generators(nu, CasimirGroup.SO_NU, False)) :]
-    if any(g.den != 1 for g in gens):
-        raise KernelError("a Casimir generator has non-integer coefficients")
-    return gens, {}
+def _mixings(nu: int, barred: bool) -> tuple[BosonOperator, ...]:
+    """The mixings d_generator(nu, j, barred) that SO(nu+1) adds to the rotations."""
+    return tuple(d_generator(nu, j, barred) for j in range(1, nu + 1))
 
 
 def casimir_apply(
@@ -884,20 +863,35 @@ def casimir_apply(
 ) -> FockState:
     """Quadratic Casimir (sum of squared generators) applied exactly to psi.
 
-    Each generator's square is composed on one representative at a time from
-    the integer terms (`_product_on`), and the folded sum per representative
-    is memoized; C psi is then one pass over psi's orbits per table.  SO(nu)
-    does not depend on the convention, so its table serves both groups and
-    both conventions.
+    C_SO(nu) sums the rotations' squares; C_SO(nu+1) adds sum_j d_j**2 over
+    the mixings.  _ROWS[nu] holds (ids, occs, tables): a numbering of orbit
+    representatives, occs[ids[occ]] == occ, and one table of rows per part,
+    filled as psi's orbits meet them.  rows[rep] is the flat tuple
+    (id_1, re_1, im_1, id_2, ...) of the nonzero Gaussian-integer
+    coefficients of sum_g g**2 |rep>, composed with `_product_on` and folded
+    into representatives.  No g commutes with the permutations of the modes
+    3..nu, but sum_g g**2 does, so the folded row is exact.  The SO(nu)
+    table (part None) has no convention, so it serves both groups and both
+    conventions.  A nonzero psi of another nu raises LabelError.
     """
     barred = Convention(convention) is Convention.BARRED
-    tables = [_casimir_rows(nu, CasimirGroup.SO_NU, False)]
-    if group is CasimirGroup.SO_NU_PLUS_ONE:
-        tables.append(_casimir_rows(nu, group, barred))
-    ids, occs = _monomial_index(nu)
+    dim = len(next(iter(psi.orbits), ())) - 1
+    if psi.orbits and dim != nu:
+        raise LabelError(f"the state has dimension nu={dim}, not nu={nu}")
+    memo = _ROWS.get(nu)
+    if memo is None:
+        memo = _ROWS[nu] = ({}, [], {})
+    ids, occs, tables = memo
     out: dict = {}
     get = out.get
-    for gens, rows in tables:
+    for part in (None,) if group is CasimirGroup.SO_NU else (None, barred):
+        table = tables.get(part)
+        if table is None:
+            gens = _rotations(nu) if part is None else _mixings(nu, part)
+            if any(g.den != 1 for g in gens):
+                raise KernelError("a Casimir generator has non-integer coefficients")
+            table = tables[part] = (gens, {})
+        gens, rows = table
         for occ, (ar, ai) in psi.orbits.items():
             row = rows.get(occ)
             if row is None:
@@ -982,8 +976,7 @@ def su11_commutator_check(nu: int, cutoff: int = 6) -> bool:
     if cutoff < 0:
         raise LabelError(f"cutoff={cutoff} must be nonnegative")
     qp, qm, q0 = quasispin_plus(nu), quasispin_minus(nu), quasispin_zero(nu)
-    rot = _casimir_generators(nu, CasimirGroup.SO_NU, False)
-    mix = _casimir_generators(nu, CasimirGroup.SO_NU_PLUS_ONE, False)[len(rot) :]
+    rot, mix = _rotations(nu), _mixings(nu, False)
     pair_b = pair_creation_b(nu)
     pair_full = pair_creation_full(nu)
     one = BosonOperator([(1, 0, (), ())])
@@ -1015,30 +1008,14 @@ def state_to_json(psi: FockState) -> list[dict]:
     ]
 
 
-_CACHED = (
-    build_chain1_state,
-    build_chain2_state,
-    _casimir_generators,
-    _casimir_rows,
-    _monomial_index,
-    creation_power,
-    pair_creation_b,
-    pair_annihilation_b,
-    pair_creation_full,
-    pair_annihilation_full,
-    number_operator,
-    b_number_operator,
-    s_number_operator,
-    pair_exchange_operator,
-    quasispin_plus,
-    quasispin_minus,
-    quasispin_zero,
-)
+# every cached function, collected at import below the last one: a module attribute
+# rebound later (a tracing wrapper, a test's monkeypatch) cannot hide one from clear_caches
+_CACHED = tuple(fn for fn in vars().values() if hasattr(fn, "cache_clear"))
 
 
 def clear_caches() -> None:
     """Drop memoized states, shared values, orbit weights and sizes, Casimir rows and operators."""
     for fn in _CACHED:
         fn.cache_clear()
-    for memo in (_SHARED, _WEIGHT, _SIZE):
+    for memo in (_SHARED, _WEIGHT, _SIZE, _ROWS):
         memo.clear()

@@ -15,9 +15,10 @@ import math
 from chainbrackets.exactnum import rational
 from chainbrackets.fockoracle import (
     CasimirGroup,
-    _casimir_generators,
     _kernel_ints,
+    _mixings,
     _product_on,
+    _rotations,
     creation_power,
     pair_annihilation_full,
     pair_creation_b,
@@ -78,7 +79,9 @@ _ROWS: dict = {}
 
 def casimir_image(nu: int, terms: dict, group: CasimirGroup, barred: bool) -> dict:
     """sum_g g**2 over the group's generators on every monomial, with rows memoized per monomial."""
-    gens = _casimir_generators(nu, group, barred)
+    gens = _rotations(nu)
+    if group is CasimirGroup.SO_NU_PLUS_ONE:
+        gens += _mixings(nu, barred)
     out: dict = {}
     for occ, (ar, ai) in terms.items():
         key = (nu, group, barred, occ)

@@ -23,16 +23,15 @@ from chainbrackets.fockoracle import (
     FockState,
     KernelError,
     NormalizedState,
-    _casimir_generators,
-    _casimir_rows,
     _chain2_intrinsic,
     _dot,
     _kernel_ints,
-    _monomial_index,
+    _mixings,
     _monomials,
     _product_on,
     _real_dot,
     _real_norm_sq,
+    _rotations,
     apply,
     b_number_operator,
     build_chain1_state,
@@ -567,7 +566,10 @@ def _casimir_by_definition(nu, psi, group, convention):
     """
     out = {}
     terms = psi.terms
-    for g in _casimir_generators(nu, group, convention is Convention.BARRED):
+    gens = _rotations(nu)
+    if group is CasimirGroup.SO_NU_PLUS_ONE:
+        gens += _mixings(nu, convention is Convention.BARRED)
+    for g in gens:
         for occ, (re, im) in fullspace.apply(g, fullspace.apply(g, terms)).items():
             r0, i0 = out.get(occ, (0, 0))
             out[occ] = (r0 + re, i0 + im)
@@ -615,22 +617,21 @@ def test_casimir_apply_equals_the_sum_of_squared_generators(nu):
                 assert casimir_apply(nu, psi, group, conv.value) == expected
 
 
-def test_casimir_rows_are_shared_and_cleared(cold_caches):
+def test_casimir_row_memo_is_shared_and_cleared(cold_caches):
     psi = build_chain2_state(3, 4, 2, 1, Convention.BARRED).state
     casimir_apply(3, psi, CasimirGroup.SO_NU_PLUS_ONE, Convention.BARRED)
-    _, rotations = _casimir_rows(3, CasimirGroup.SO_NU, False)
-    _, mixings = _casimir_rows(3, CasimirGroup.SO_NU_PLUS_ONE, True)
+    ids, occs, tables = fockoracle._ROWS[3]
+    (rot_gens, rotations), (mix_gens, mixings) = tables[None], tables[True]
+    assert rot_gens == _rotations(3) and mix_gens == _mixings(3, True)
     assert set(rotations) == set(mixings) == set(psi.terms)
     # SO(nu) has no convention: the barred check filled the rows the standard one reads
     casimir_apply(3, psi, CasimirGroup.SO_NU, Convention.STANDARD)
-    assert _casimir_rows.cache_info().currsize == 2
-    ids, occs = _monomial_index(3)
+    assert list(fockoracle._ROWS) == [3] and set(tables) == {None, True}
     assert set(occs) >= set(psi.terms) and [ids[occ] for occ in occs] == list(range(len(occs)))
     clear_caches()
-    assert _casimir_rows.cache_info().currsize == 0
-    assert _monomial_index.cache_info().currsize == 0
+    assert not fockoracle._ROWS
+    assert _rotations.cache_info().currsize == _mixings.cache_info().currsize == 0
     assert creation_power.cache_info().currsize == 0
-    assert not _casimir_rows(3, CasimirGroup.SO_NU, False)[1]
 
 
 @pytest.fixture
@@ -641,7 +642,7 @@ def cold_caches():
     clear_caches()
 
 
-def test_casimir_rows_carry_complex_coefficients(monkeypatch, cold_caches):
+def test_casimir_row_memo_carries_complex_coefficients(monkeypatch, cold_caches):
     # the square of a rotation plus a barred mixing has imaginary cross terms:
     # g = i(b_1^dag b_2 - b_2^dag b_1) + s^dag b_1 + b_1^dag s
     g = BosonOperator(
@@ -655,7 +656,7 @@ def test_casimir_rows_carry_complex_coefficients(monkeypatch, cold_caches):
     psi = _casimir_cases(3)[-1]
     expected = apply(g, apply(g, psi))
     assert any(im for _, im in expected.terms.values())
-    monkeypatch.setattr(fockoracle, "_casimir_generators", lambda nu, group, barred: (g,))
+    monkeypatch.setattr(fockoracle, "_rotations", lambda nu: (g,))
     assert casimir_apply(3, psi, CasimirGroup.SO_NU) == expected
     assert casimir_apply(3, psi, CasimirGroup.SO_NU) == expected
 
@@ -663,7 +664,7 @@ def test_casimir_rows_carry_complex_coefficients(monkeypatch, cold_caches):
 def test_casimir_rejects_a_generator_with_a_denominator(monkeypatch, cold_caches):
     # (i/2)(b_1^dag b_2 - b_2^dag b_1): half of a rotation generator
     half = BosonOperator([(0, 1, ((1, 1),), ((2, 1),)), (0, -1, ((2, 1),), ((1, 1),))], den=2)
-    monkeypatch.setattr(fockoracle, "_casimir_generators", lambda nu, group, barred: (half,))
+    monkeypatch.setattr(fockoracle, "_rotations", lambda nu: (half,))
     with pytest.raises(KernelError):
         casimir_apply(3, seed_state(3, 1), CasimirGroup.SO_NU)
 
@@ -915,6 +916,63 @@ def test_states_of_different_nu_have_no_inner_product():
     assert inner(FockState({}), seed_state(4, 1)) == inner(seed_state(3, 1), FockState({})) == gr(0)
 
 
+def test_casimir_functions_refuse_a_state_of_another_nu():
+    # a nu = 4 seed passed the SO(3) check, and read the SO(3) value 2 for its SO(4) value 3
+    assert casimir_check(4, seed_state(4, 1), CasimirGroup.SO_NU) == 3
+    cases = (
+        (3, seed_state(4, 1), CasimirGroup.SO_NU, "nu=4, not nu=3"),
+        (5, seed_state(3, 1), CasimirGroup.SO_NU_PLUS_ONE, "nu=3, not nu=5"),
+        (4, build_chain2_state(5, 2, 2, 0).state, CasimirGroup.SO_NU_PLUS_ONE, "nu=5, not nu=4"),
+    )
+    for nu, psi, group, match in cases:
+        with pytest.raises(LabelError, match=match):
+            casimir_apply(nu, psi, group)
+        with pytest.raises(LabelError, match=match):
+            casimir_check(nu, psi, group)
+        with pytest.raises(LabelError, match=match):
+            is_exact_eigenstate(nu, psi, group, 0, Convention.STANDARD)
+    # the zero state has no dimension, and its image is zero
+    assert casimir_apply(3, FockState({}), CasimirGroup.SO_NU_PLUS_ONE).is_zero
+
+
+def test_apply_refuses_an_operator_beyond_the_state_modes():
+    cases = (
+        (pair_creation_b(5), seed_state(3, 1), "nu >= 5, the state has nu=3"),
+        (number_operator(3), seed_state(2, 0), "nu >= 3, the state has nu=2"),
+        (so_generator(6, 1, 6), build_chain1_state(4, 2, 2, 0).state, "nu >= 6, the state has nu=4"),
+    )
+    for op, psi, match in cases:
+        with pytest.raises(LabelError, match=match):
+            apply(op, psi)
+        # a zero state gives a zero result, whatever op's modes
+        assert apply(op, FockState({})).is_zero
+    # an operator on fewer modes acts, and the decision is memoized on the operator once per nu
+    op = pair_creation_b(2)
+    assert not apply(op, seed_state(3, 1)).is_zero and op.invariant_at[3] is True
+
+
+def test_clear_caches_collects_every_cached_function_at_import(monkeypatch):
+    tree = ast.parse(Path(fockoracle.__file__).read_text(encoding="utf-8"))
+
+    def decorator_names(node):
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            yield target.id if isinstance(target, ast.Name) else None
+
+    cached = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and {"lru_cache", "_cached_on"} & set(decorator_names(node))
+    }
+    assert {"build_chain1_state", "_rotations", "_mixings", "quasispin_zero"} <= cached
+    assert sorted(fn.__name__ for fn in fockoracle._CACHED) == sorted(cached)
+    # collected at import: a module attribute rebound later hides no cache from clear_caches
+    _rotations(3)
+    monkeypatch.setattr(fockoracle, "_rotations", lambda nu: ())
+    clear_caches()
+    assert _rotations.cache_info().currsize == 0
+
+
 def test_oracle_bracket_rejects_a_complex_overlap(monkeypatch):
     nu, N, n, sigma, tau = 2, 2, 0, 0, 0
     assert oracle_bracket(nu, N, n, sigma, tau)[0] != 0
@@ -1042,10 +1100,12 @@ def test_clear_caches_empties_every_cache():
     casimir_apply(3, seed_state(3, 2), CasimirGroup.SO_NU_PLUS_ONE)
     su11_commutator_check(2, 2)
     caches = {name: fn for name, fn in vars(fockoracle).items() if hasattr(fn, "cache_info")}
-    assert {"build_chain1_state", "build_chain2_state", "_casimir_rows"} <= set(caches)
+    assert {"build_chain1_state", "build_chain2_state", "_rotations", "_mixings"} <= set(caches)
+    assert fockoracle._ROWS
     # each state is cached once, in its builder: the seed and the intrinsic
     # state are the builders' bottom rungs, not caches of their own
     assert not {"seed_state", "_chain2_intrinsic"} & set(caches)
     assert any(fn.cache_info().currsize for fn in caches.values())
     clear_caches()
     assert {name: fn.cache_info().currsize for name, fn in caches.items()} == dict.fromkeys(caches, 0)
+    assert not fockoracle._ROWS

@@ -253,6 +253,9 @@ def test_overlap_squares_scale_and_reject_an_imaginary_overlap():
     # the true norms <bra|bra> = 2 and <ket|ket> = 50/9 make the states parallel unit vectors
     unit = [NormalizedState(bra, 2), NormalizedState(ket, rational(50, 9))]
     assert overlap_squares(unit, unit) == [[(1, 1), (1, 1)], [(1, 1), (1, 1)]]
+    # each state's unit, sign(scale) and scale**2 / norm_sq as (num, den), is computed once and kept
+    assert [st.unit for st in raw + unit] == [(1, 1, 1), (1, 1, 9), (-1, 1, 9), (1, 1, 2), (1, 9, 450)]
+    assert all(st.unit is st.unit for st in raw + unit)
     # complex coefficients with a real overlap: <(1+i)m|(1+i)m> = 2 * 2!
     complex_ = NormalizedState(FockState({(0, 2, 0): (1, 1)}), 1)
     assert overlap_squares([complex_], [complex_]) == [[(1, 16)]]
