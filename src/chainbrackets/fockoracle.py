@@ -7,32 +7,35 @@ only exactnum and labels, so overlaps of these states are the ground truth
 against which every closed form is certified.
 
 All arithmetic is exact and runs on Python ints; no floating point anywhere.
-States and operators share one representation: Gaussian integers (re, im)
-under one rational factor for the whole value, `FockState` and
-`BosonOperator(terms, den)`.  So `apply` and the overlaps multiply integers
-and touch the scale once per call; the only GaussianRational here is the
-value `inner` returns.  The intrinsic deformed states come from
-fraction-free (Bareiss) elimination over the Gaussian integers.  The two
-state builders are the ladders: each state is cached once, in its builder,
-and is one `apply` from the cached state below it.  The cached states share
-their keys and Gaussian pairs: each distinct value is one object, the first
-one cached.  Each overlap is one weighted integer dot, and one rule
-(`_signed_square`) turns it into the (sign, square) pair that both
+Mode 2 is beta_2 = -i b_2: the unitary change of basis |occ> -> i^occ_2 |occ>,
+which keeps every monomial and its norm prod occ_j!.  In it the seed
+(b_1^dag + i b_2^dag)^tau is (b_1^dag + beta_2^dag)^tau, and every operator
+here has integer coefficients (b_2^dag^2 = -beta_2^dag^2, b_2^2 = -beta_2^2).
+So states and operators are ints under one rational factor for the whole
+value, `FockState` and `BosonOperator(terms, den)`, and only `state_to_json`
+turns an int c back into b_2's complex coefficient c i^occ_2.  `apply` and
+the overlaps multiply integers and touch the scale once per call; the only
+GaussianRational here is the real value `inner` returns.  The intrinsic
+deformed states come from fraction-free (Bareiss) elimination over the
+integers.  The two state builders are the ladders: each state is cached
+once, in its builder, and is one `apply` from the cached state below it.
+The cached states share their keys and ints: each distinct value is one
+object, the first one cached.  Each overlap is one weighted integer dot, and
+one rule (`_signed_square`) turns it into the (sign, square) pair that both
 `oracle_bracket` and `overlap_squares` return.  No other module reads a
 state's integers or scale.  A memo that outlives its object is a pure
 constructor under lru_cache or a module dict (_SHARED, _WEIGHT, _SIZE,
 _ROWS), and `clear_caches` empties them all.
 
-Every state is built from the seed (b_1^dag + i b_2^dag)^tau with SO(nu)
-scalars only, so it is symmetric under permutations of the modes
-b_3..b_nu.  A FockState therefore stores one monomial per permutation orbit
-(the representative, whose occ[3:] is non-increasing) with d = c * |orbit|.
-`apply` pushes each representative through an operator that commutes with
-those permutations and sums the output monomials into their representatives
-(the fold); the Casimir rows are folded the same way.  An overlap is
-sum conj(d) d' prod occ_j! prod_v m_v! / (nu - 2)! over the
-representatives, with m_v the multiplicities of the values in occ[3:]; the
-division is exact.  The weight prod occ_j! prod_v m_v! is memoized per key
+Every state is built from the seed with SO(nu) scalars only, so it is
+symmetric under permutations of the modes b_3..b_nu.  A FockState therefore
+stores one monomial per permutation orbit (the representative, whose occ[3:]
+is non-increasing) with d = c * |orbit|.  `apply` pushes each representative
+through an operator that commutes with those permutations and sums the
+output monomials into their representatives (the fold); the Casimir rows are
+folded the same way.  An overlap is sum d d' prod occ_j! prod_v m_v! /
+(nu - 2)! over the representatives, with m_v the multiplicities of the
+values in occ[3:]; the division is exact.  The weight prod occ_j! prod_v m_v! is memoized per key
 and |orbit| per occ[3:], one int each.  At nu <= 3 every orbit is one
 monomial and nothing is folded.  The full-space monomials exist only as the
 derived view `FockState.terms`; `su11_commutator_check` composes operators
@@ -78,8 +81,7 @@ __all__ = [
 ]
 
 _ONE = rational(1)
-_ZERO_PAIR = (0, 0)
-_SHARED: dict = {}  # the first cached object of each key and Gaussian pair; see _shared
+_SHARED: dict = {}  # the first cached object of each key and coefficient; see _shared
 _WEIGHT: dict = {}  # prod occ_j! prod_v m_v! of each orbit representative occ; see _weight
 _SIZE: dict = {}  # |orbit| of each tail occ[3:]; see _orbit_size
 _ROWS: dict = {}  # per nu, the Casimir rows and the numbering of their outputs; see casimir_apply
@@ -114,7 +116,7 @@ def _multipliers(sa, sb) -> tuple[int, int]:
 
 
 def _nonzero(terms: dict) -> dict:
-    return {occ: c for occ, c in terms.items() if c[0] or c[1]}
+    return {occ: c for occ, c in terms.items() if c}
 
 
 def _orbit_size(tail: tuple) -> int:
@@ -137,37 +139,41 @@ def _arrangements(tail: tuple):
 
 
 def _fold(terms: dict) -> dict:
-    """Sum each monomial's Gaussian integer into its orbit's representative."""
+    """Sum each monomial's integer into its orbit's representative."""
     out: dict = {}
-    for occ, (re, im) in terms.items():
+    for occ, c in terms.items():
         rep = occ[:3] + tuple(sorted(occ[3:], reverse=True))
-        r0, i0 = out.get(rep, _ZERO_PAIR)
-        out[rep] = (r0 + re, i0 + im)
+        out[rep] = out.get(rep, 0) + c
     return out
 
 
 class FockState:
-    """Finite linear combination of occupation monomials with exact complex coefficients.
+    """Finite linear combination of occupation monomials with exact coefficients.
 
     Keys are (nu+1)-tuples of occupation numbers, mode 0 being the scalar
-    boson.  Monomials are unnormalized products of creation operators on the
-    vacuum, so <occ|occ> = prod occ_j!.  The coefficient of occ is
-    (re + i im) * scale: Gaussian integers under one rational scale, as a
-    BosonOperator is Gaussian integers over one denominator.
+    boson and mode 2 beta_2 = -i b_2.  Monomials are unnormalized products of
+    creation operators on the vacuum, so <occ|occ> = prod occ_j!.  The
+    coefficient of occ is c * scale: an int under one rational scale, as a
+    BosonOperator is ints over one denominator.  In the Cartesian basis of
+    b_1..b_nu that coefficient is c * scale * i^occ_2 (see state_to_json).
 
     A state is symmetric under permutations of the modes 3..nu, and is
     stored by orbit: `orbits` maps each orbit's representative (occ[3:]
-    non-increasing) to d = c * |orbit|, a nonzero Gaussian integer divisible
-    by |orbit|.  `terms` is the derived full-space view {occ: c}, one entry
-    per monomial.  The constructor takes such full-space terms; it drops
-    zero pairs and raises SymmetryError unless the terms are symmetric.
+    non-increasing) to d = c * |orbit|, a nonzero int divisible by |orbit|.
+    `terms` is the derived full-space view {occ: c}, one int per monomial.
+    The constructor takes such full-space terms.  It raises LabelError
+    unless every key has one length nu + 1 >= 3 and no negative entry, drops
+    zeros, and raises SymmetryError unless the terms are symmetric.
     Instances are treated as immutable and may share their dict; the cached
-    states also share their keys and pairs, one object per distinct value.
+    states also share their keys and ints, one object per distinct value.
     """
 
     __slots__ = ("orbits", "scale")
 
     def __init__(self, terms: dict, scale=_ONE):
+        lengths = {len(occ) for occ in terms}
+        if len(lengths) > 1 or min(lengths, default=3) < 3 or any(min(occ) < 0 for occ in terms):
+            raise LabelError("the keys must be occupation tuples of one length nu + 1 >= 3, none negative")
         terms = _nonzero(terms)
         self.orbits = _fold(terms)
         self.scale = scale
@@ -177,7 +183,7 @@ class FockState:
 
     @classmethod
     def _of(cls, orbits: dict, scale) -> "FockState":
-        """The state stored as orbits, which must hold nonzero pairs only."""
+        """The state stored as orbits, which must hold nonzero ints only."""
         psi = cls.__new__(cls)
         psi.orbits = orbits
         psi.scale = scale
@@ -185,11 +191,10 @@ class FockState:
 
     @property
     def terms(self) -> dict:
-        """Full-space view {occ: (re, im)}: every monomial, under the same scale."""
+        """Full-space view {occ: c}: every monomial's int, under the same scale."""
         out = {}
-        for rep, (re, im) in self.orbits.items():
-            size = _orbit_size(rep[3:])
-            c = (re // size, im // size)
+        for rep, d in self.orbits.items():
+            c = d // _orbit_size(rep[3:])
             head = rep[:3]
             for tail in _arrangements(rep[3:]):
                 out[head + tail] = c
@@ -203,13 +208,13 @@ class FockState:
         """The same state with coprime full-space integers and a positive scale."""
         if not self.orbits:
             return self
-        # |orbit| divides re and im, so gcd(re, im) // |orbit| is the gcd of the full-space pair
-        g = math.gcd(*(math.gcd(re, im) // _orbit_size(occ[3:]) for occ, (re, im) in self.orbits.items()))
+        # |orbit| divides d, so d // |orbit| is the full-space int
+        g = math.gcd(*(d // _orbit_size(occ[3:]) for occ, d in self.orbits.items()))
         if self.scale < 0:
             g = -g
         if g == 1:
             return self
-        orbits = {occ: (re // g, im // g) for occ, (re, im) in self.orbits.items()}
+        orbits = {occ: d // g for occ, d in self.orbits.items()}
         return FockState._of(orbits, self.scale * g)
 
     def times(self, scalar) -> "FockState":
@@ -227,9 +232,9 @@ class FockState:
         if not a:
             return True
         ma, mb = _multipliers(self.scale, other.scale)
-        for occ, (re, im) in a.items():
+        for occ, d in a.items():
             o = b.get(occ)
-            if o is None or re * ma != o[0] * mb or im * ma != o[1] * mb:
+            if o is None or d * ma != o * mb:
                 return False
         return True
 
@@ -244,12 +249,12 @@ class FockState:
 class BosonOperator:
     """Sum of normal-ordered creation/annihilation monomials over one denominator.
 
-    Built from terms (cr, ci, cre, ann) and the positive integer den: the term
-    acts as (cr + i ci) / den * prod b_dag^cre * prod b^ann, with cr, ci ints
-    and cre/ann sparse tuples of (mode, power) pairs.  `terms` holds, per
-    nonzero term, (cr, ci, ann, moves): the Gaussian integer, the annihilated
-    (mode, power) pairs and the net (mode, shift) of occupation numbers,
-    sorted by mode.  Products of operators are evaluated by composing their
+    Built from terms (c, cre, ann) and the positive integer den: the term acts
+    as c / den * prod b_dag^cre * prod b^ann, with c an int and cre/ann
+    sparse tuples of (mode, power) pairs; mode 2 is beta_2, as in FockState.
+    `terms` holds, per nonzero term, (c, ann, moves): the int, the
+    annihilated (mode, power) pairs and the net (mode, shift) of occupation
+    numbers, sorted by mode.  Products of operators are evaluated by composing their
     actions (`apply` on states, `_product_on` on one monomial), never
     symbolically.
     """
@@ -260,8 +265,8 @@ class BosonOperator:
         self.den = den
         self.invariant_at: dict = {}
         out = []
-        for cr, ci, cre, ann in terms:
-            if not (cr or ci):
+        for c, cre, ann in terms:
+            if not c:
                 continue
             shift = dict.fromkeys([mode for mode, _ in cre + ann], 0)
             for mode, power in ann:
@@ -269,7 +274,7 @@ class BosonOperator:
             for mode, power in cre:
                 shift[mode] += power
             moves = tuple((mode, d) for mode, d in sorted(shift.items()) if d)
-            out.append((cr, ci, tuple(ann), moves))
+            out.append((c, tuple(ann), moves))
         self.terms = tuple(out)
 
 
@@ -285,14 +290,14 @@ def _is_invariant(op: BosonOperator, nu: int) -> bool:
     """
     ok = op.invariant_at.get(nu)
     if ok is None:
-        top = max((mode for _, _, ann, moves in op.terms for mode, _ in ann + moves), default=0)
+        top = max((mode for _, ann, moves in op.terms for mode, _ in ann + moves), default=0)
         if top > nu:
             raise LabelError(f"the operator needs nu >= {top}, the state has nu={nu}")
 
         def renamed(perm: dict) -> list:
             return sorted(
-                (cr, ci, sorted((perm.get(m, m), p) for m, p in ann), sorted((perm.get(m, m), d) for m, d in moves))
-                for cr, ci, ann, moves in op.terms
+                (c, sorted((perm.get(m, m), p) for m, p in ann), sorted((perm.get(m, m), d) for m, d in moves))
+                for c, ann, moves in op.terms
             )
 
         cycle = {m: m + 1 if m < nu else 3 for m in range(3, nu + 1)}
@@ -317,10 +322,10 @@ def apply(op: BosonOperator, psi: FockState) -> FockState:
     get = out.get
     perm = math.perm
     items = psi.orbits.items()
-    for cr, ci, ann, moves in op.terms:
+    for c, ann, moves in op.terms:
         fold = nu > 3 and moves and moves[-1][0] > 2
-        for occ, (ar, ai) in items:
-            factor = 1
+        for occ, x in items:
+            factor = c
             for mode, power in ann:
                 factor *= perm(occ[mode], power)
             if not factor:
@@ -332,15 +337,7 @@ def apply(op: BosonOperator, psi: FockState) -> FockState:
                 if fold:
                     new[3:] = sorted(new[3:], reverse=True)
                 occ = tuple(new)
-            if ci:
-                vr = (ar * cr - ai * ci) * factor
-                vi = (ar * ci + ai * cr) * factor
-            else:
-                factor *= cr
-                vr = ar * factor
-                vi = ai * factor
-            prev = get(occ)
-            out[occ] = (vr, vi) if prev is None else (prev[0] + vr, prev[1] + vi)
+            out[occ] = get(occ, 0) + x * factor
     return FockState._of(_nonzero(out), psi.scale if op.den == 1 else psi.scale / op.den)
 
 
@@ -349,13 +346,12 @@ def _product_on(a: BosonOperator, b: BosonOperator, occ: tuple, sign: int, out: 
 
     Composes the integer terms of b, then a, on the one full-space monomial
     occ; no intermediate state is built and nothing is folded.  out maps
-    occupation tuples to Gaussian integers (re, im) and may be left holding
-    zeros.
+    occupation tuples to ints and may be left holding zeros.
     """
     get = out.get
     perm = math.perm
-    for br, bi, ann, moves in b.terms:
-        factor = sign
+    for cb, ann, moves in b.terms:
+        factor = sign * cb
         for mode, power in ann:
             factor *= perm(occ[mode], power)
         if not factor:
@@ -366,12 +362,11 @@ def _product_on(a: BosonOperator, b: BosonOperator, occ: tuple, sign: int, out: 
             for mode, d in moves:
                 new[mode] += d
             mid = tuple(new)
-        vr, vi = br * factor, bi * factor
-        for ar, ai, ann_a, moves_a in a.terms:
-            factor = 1
+        for ca, ann_a, moves_a in a.terms:
+            v = ca * factor
             for mode, power in ann_a:
-                factor *= perm(mid[mode], power)
-            if not factor:
+                v *= perm(mid[mode], power)
+            if not v:
                 continue
             key = mid
             if moves_a:
@@ -379,10 +374,7 @@ def _product_on(a: BosonOperator, b: BosonOperator, occ: tuple, sign: int, out: 
                 for mode, d in moves_a:
                     new[mode] += d
                 key = tuple(new)
-            re = (ar * vr - ai * vi) * factor
-            im = (ar * vi + ai * vr) * factor
-            prev = get(key)
-            out[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+            out[key] = get(key, 0) + v
 
 
 def _weight(occ: tuple) -> int:
@@ -401,51 +393,37 @@ def _weight(occ: tuple) -> int:
     return w
 
 
-def _dot(psi: FockState, phi: FockState) -> tuple[int, int]:
-    """Integer parts (re, im) of <psi|phi> = (re + i im) * psi.scale * phi.scale.
+def _dot(psi: FockState, phi: FockState) -> int:
+    """The int dot with <psi|phi> = dot * psi.scale * phi.scale.
 
     No rational is formed.  Over the representatives,
-    <psi|phi> = sum conj(d) d' w / (nu - 2)!, w = prod occ_j! prod_v m_v!,
+    <psi|phi> = sum d d' w / (nu - 2)!, w = prod occ_j! prod_v m_v!,
     since |orbit| prod_v m_v! = (nu - 2)!; each term is divisible by
     (nu - 2)!.  Only the orbits that both states hold are weighed, each with
     its memoized w.  States of different nu raise LabelError.
     """
     a, b = psi.orbits, phi.orbits
     if not a or not b:
-        return 0, 0
+        return 0
     n, m = len(next(iter(a))), len(next(iter(b)))
     if n != m:
         raise LabelError(f"the states have different dimensions, nu={n - 1} and nu={m - 1}")
     get, weight = b.get, _WEIGHT.get
-    re = im = 0
-    for occ, (ar, ai) in a.items():
-        other = get(occ)
-        if other is not None:
-            w = weight(occ) or _weight(occ)
-            br, bi = other
-            re += (ar * br + ai * bi) * w
-            im += (ar * bi - ai * br) * w
+    total = 0
+    for occ, x in a.items():
+        y = get(occ)
+        if y is not None:
+            total += x * y * (weight(occ) or _weight(occ))
     if n > 4:
-        f = math.factorial(n - 3)
-        if re % f or im % f:
+        total, rest = divmod(total, math.factorial(n - 3))
+        if rest:
             raise KernelError("an orbit overlap is not divisible by (nu - 2)!")
-        re, im = re // f, im // f
-    return re, im
-
-
-def _real_dot(psi: FockState, phi: FockState) -> int:
-    """Integer part of the real overlap <psi|phi>; a nonzero imaginary part raises KernelError."""
-    re, im = _dot(psi, phi)
-    if im:
-        raise KernelError(f"expected a real inner product, got imaginary part {im * psi.scale * phi.scale}")
-    return re
+    return total
 
 
 def inner(psi: FockState, phi: FockState) -> GaussianRational:
-    """Boson Fock inner product <psi|phi> with the monomial weights prod occ_j!."""
-    re, im = _dot(psi, phi)
-    scale = psi.scale * phi.scale
-    return GaussianRational(re * scale, im * scale)
+    """Boson Fock inner product <psi|phi> with the monomial weights prod occ_j!; its im is 0."""
+    return GaussianRational(_dot(psi, phi) * psi.scale * phi.scale, rational(0))
 
 
 # ---------------------------------------------------------------------------
@@ -453,94 +431,96 @@ def inner(psi: FockState, phi: FockState) -> GaussianRational:
 # ---------------------------------------------------------------------------
 
 
+def _flip(j: int) -> int:
+    """The sign of b_j^dag^2 and b_j^2 in the beta_2 basis: -1 for mode 2 (b_2^dag^2 = -beta_2^dag^2), else 1."""
+    return -1 if j == 2 else 1
+
+
 @lru_cache(maxsize=None)
 def creation_power(mode: int, power: int) -> BosonOperator:
-    return BosonOperator([(1, 0, ((mode, power),), ())])
+    """b_mode^dag^power; mode 2 is beta_2, so creation_power(2, p) = i^p b_2^dag^p."""
+    return BosonOperator([(1, ((mode, power),), ())])
 
 
 @lru_cache(maxsize=None)
 def pair_creation_b(nu: int) -> BosonOperator:
     """Sum of squared creation operators over the nu non-scalar modes."""
-    return BosonOperator([(1, 0, ((j, 2),), ()) for j in range(1, nu + 1)])
+    return BosonOperator([(_flip(j), ((j, 2),), ()) for j in range(1, nu + 1)])
 
 
 @lru_cache(maxsize=None)
 def pair_annihilation_b(nu: int) -> BosonOperator:
-    return BosonOperator([(1, 0, (), ((j, 2),)) for j in range(1, nu + 1)])
+    return BosonOperator([(_flip(j), (), ((j, 2),)) for j in range(1, nu + 1)])
 
 
 @lru_cache(maxsize=None)
 def pair_creation_full(nu: int, barred: bool = False) -> BosonOperator:
     """Scalar-squared plus (standard) or minus (barred) the b-space pair creator."""
     sign = -1 if barred else 1
-    terms = [(1, 0, ((0, 2),), ())]
-    terms += [(sign, 0, ((j, 2),), ()) for j in range(1, nu + 1)]
+    terms = [(1, ((0, 2),), ())]
+    terms += [(sign * _flip(j), ((j, 2),), ()) for j in range(1, nu + 1)]
     return BosonOperator(terms)
 
 
 @lru_cache(maxsize=None)
 def pair_annihilation_full(nu: int, barred: bool = False) -> BosonOperator:
     sign = -1 if barred else 1
-    terms = [(1, 0, (), ((0, 2),))]
-    terms += [(sign, 0, (), ((j, 2),)) for j in range(1, nu + 1)]
+    terms = [(1, (), ((0, 2),))]
+    terms += [(sign * _flip(j), (), ((j, 2),)) for j in range(1, nu + 1)]
     return BosonOperator(terms)
 
 
 @lru_cache(maxsize=None)
 def number_operator(nu: int) -> BosonOperator:
-    return BosonOperator([(1, 0, ((j, 1),), ((j, 1),)) for j in range(nu + 1)])
+    return BosonOperator([(1, ((j, 1),), ((j, 1),)) for j in range(nu + 1)])
 
 
 @lru_cache(maxsize=None)
 def b_number_operator(nu: int) -> BosonOperator:
-    return BosonOperator([(1, 0, ((j, 1),), ((j, 1),)) for j in range(1, nu + 1)])
+    return BosonOperator([(1, ((j, 1),), ((j, 1),)) for j in range(1, nu + 1)])
 
 
 @lru_cache(maxsize=None)
 def s_number_operator(nu: int) -> BosonOperator:
-    return BosonOperator([(1, 0, ((0, 1),), ((0, 1),))])
+    return BosonOperator([(1, ((0, 1),), ((0, 1),))])
 
 
 @lru_cache(maxsize=None)
 def pair_exchange_operator(nu: int) -> BosonOperator:
     """(1/2) sum_j (b_j^dag^2 s^2 + s^dag^2 b_j^2): moves one boson pair between s and the b space."""
-    up = [(1, 0, ((j, 2),), ((0, 2),)) for j in range(1, nu + 1)]
-    down = [(1, 0, ((0, 2),), ((j, 2),)) for j in range(1, nu + 1)]
+    up = [(_flip(j), ((j, 2),), ((0, 2),)) for j in range(1, nu + 1)]
+    down = [(_flip(j), ((0, 2),), ((j, 2),)) for j in range(1, nu + 1)]
     return BosonOperator(up + down, den=2)
 
 
-def so_generator(nu: int, j: int, k: int) -> BosonOperator:
-    """Antisymmetric generator i(b_j^dag b_k - b_k^dag b_j) for 1 <= j < k <= nu."""
-    return BosonOperator([(0, 1, ((j, 1),), ((k, 1),)), (0, -1, ((k, 1),), ((j, 1),))])
+def _generator(j: int, k: int, hermitian: bool) -> tuple[BosonOperator, int]:
+    """(g, sign) for the generator G of the modes j < k, with G**2 = sign * g**2.
 
-
-def d_generator(nu: int, j: int, barred: bool = False) -> BosonOperator:
-    """Mixing generator between the scalar mode and b_j.
-
-    Standard realization: i(s^dag b_j - b_j^dag s); barred: s^dag b_j + b_j^dag s.
+    G is b_j^dag b_k + b_k^dag b_j if hermitian, else i(b_j^dag b_k - b_k^dag b_j).
+    g = b_j^dag b_k + sign b_k^dag b_j is real in the beta_2 basis, and G is
+    g or +-i g: sign = +1 exactly when hermitian != (2 in (j, k)).
     """
-    if barred:
-        return BosonOperator([(1, 0, ((0, 1),), ((j, 1),)), (1, 0, ((j, 1),), ((0, 1),))])
-    return BosonOperator([(0, 1, ((0, 1),), ((j, 1),)), (0, -1, ((j, 1),), ((0, 1),))])
+    sign = 1 if hermitian != (2 in (j, k)) else -1
+    return BosonOperator([(1, ((j, 1),), ((k, 1),)), (sign, ((k, 1),), ((j, 1),))]), sign
 
 
 @lru_cache(maxsize=None)
 def quasispin_plus(nu: int) -> BosonOperator:
     """Q+ = (1/2) sum_j b_j^dag^2."""
-    return BosonOperator([(1, 0, ((j, 2),), ()) for j in range(1, nu + 1)], den=2)
+    return BosonOperator([(_flip(j), ((j, 2),), ()) for j in range(1, nu + 1)], den=2)
 
 
 @lru_cache(maxsize=None)
 def quasispin_minus(nu: int) -> BosonOperator:
     """Q- = (1/2) sum_j b_j^2."""
-    return BosonOperator([(1, 0, (), ((j, 2),)) for j in range(1, nu + 1)], den=2)
+    return BosonOperator([(_flip(j), (), ((j, 2),)) for j in range(1, nu + 1)], den=2)
 
 
 @lru_cache(maxsize=None)
 def quasispin_zero(nu: int) -> BosonOperator:
     """Q0 = (2 n_b + nu) / 4, with n_b the b-space boson count."""
-    terms = [(2, 0, ((j, 1),), ((j, 1),)) for j in range(1, nu + 1)]
-    return BosonOperator(terms + [(nu, 0, (), ())], den=4)
+    terms = [(2, ((j, 1),), ((j, 1),)) for j in range(1, nu + 1)]
+    return BosonOperator(terms + [(nu, (), ())], den=4)
 
 
 # ---------------------------------------------------------------------------
@@ -549,18 +529,16 @@ def quasispin_zero(nu: int) -> BosonOperator:
 
 
 def seed_state(nu: int, tau: int) -> FockState:
-    """(b_1^dag + i b_2^dag)^tau on the vacuum: the common seniority-tau seed.
+    """(b_1^dag + i b_2^dag)^tau = (b_1^dag + beta_2^dag)^tau on the vacuum: the common seniority-tau seed.
 
     Annihilated by the b-space pair annihilator for every nu >= 2 because the
-    direction vector (1, i, 0, ...) is null under the sum of squares.
+    direction vector (1, i, 0, ...) is null under the sum of squares.  Its
+    coefficients are the binomials C(tau, j).
     """
     check_dimension(nu)
     if tau < 0:
         raise LabelError(f"tau={tau} must be nonnegative")
-    terms = {}
-    for j in range(tau + 1):
-        c = math.comb(tau, j)
-        terms[(0, tau - j, j) + (0,) * (nu - 2)] = ((c, 0), (0, c), (-c, 0), (0, -c))[j % 4]
+    terms = {(0, tau - j, j) + (0,) * (nu - 2): math.comb(tau, j) for j in range(tau + 1)}
     # modes 3..nu are empty: every monomial is its own orbit
     return FockState._of(terms, _ONE)
 
@@ -569,8 +547,8 @@ def seed_state(nu: int, tau: int) -> FockState:
 class NormalizedState:
     """state / sqrt(norm_sq): an exactly unit-norm state in factored form.
 
-    The raw FockState keeps exact Gaussian-integer coefficients under a
-    rational scale (with the ladder phase already folded in); its exact
+    The raw FockState keeps exact integer coefficients under a rational
+    scale (with the ladder phase already folded in); its exact
     squared norm is carried alongside so the pair has squared norm 1 without
     ever forming an irrational number.
     """
@@ -590,7 +568,7 @@ class NormalizedState:
 
 def _real_norm_sq(psi: FockState):
     """<psi|psi> as one rational built from the integer dot."""
-    nsq = _real_dot(psi, psi)
+    nsq = _dot(psi, psi)
     if nsq <= 0:
         raise KernelError("state unexpectedly has nonpositive norm")
     return rational(nsq * psi.scale.numerator**2, psi.scale.denominator**2)
@@ -613,12 +591,12 @@ def _signed_square(dot: int, unit1: tuple, unit2: tuple) -> tuple:
 
 
 def overlap_squares(bras: list[NormalizedState], kets: list[NormalizedState]) -> list[list[tuple]]:
-    """(sign, square) of <bra_i|ket_j> for every pair, as oracle_bracket gives one; KernelError if complex."""
+    """(sign, square) of <bra_i|ket_j> for every pair, as oracle_bracket gives one."""
     kets = [(two.state, two.unit) for two in kets]
     block = []
     for one in bras:
         psi, unit = one.state, one.unit
-        block.append([_signed_square(_real_dot(psi, phi), unit, u) for phi, u in kets])
+        block.append([_signed_square(_dot(psi, phi), unit, u) for phi, u in kets])
     return block
 
 
@@ -645,9 +623,9 @@ def _cached_on(label):
 
 
 def _shared(psi: FockState) -> FockState:
-    """psi with each key and pair of its orbits replaced by the first equal one cached.
+    """psi with each key and int of its orbits replaced by the first equal one cached.
 
-    Keys have length nu + 1 >= 3 and pairs length 2, so one dict holds both without confusion.
+    Keys are tuples and coefficients ints, and no tuple equals an int, so one dict holds both.
     """
     share = _SHARED.setdefault
     return FockState._of({share(occ, occ): share(c, c) for occ, c in psi.orbits.items()}, psi.scale)
@@ -679,73 +657,51 @@ def build_chain1_state(nu: int, N: int, n: int, tau: int) -> NormalizedState:
     return NormalizedState(psi, _real_norm_sq(psi))
 
 
-def _gauss_div(re: int, im: int, d: tuple[int, int]) -> tuple[int, int]:
-    """The Gaussian integer (re + i im) / d; raises KernelError if the division is inexact."""
-    dr, di = d
-    if di:
-        n = dr * dr + di * di
-        re, im = re * dr + im * di, im * dr - re * di
-    else:
-        n = dr
-    qr, rr = divmod(re, n)
-    qi, ri = divmod(im, n)
-    if rr or ri:
-        raise KernelError("fraction-free elimination hit an inexact division")
-    return qr, qi
-
-
-def _kernel_ints(columns: list[dict]) -> tuple[list[tuple[int, int]], int]:
-    """Kernel vector of a Gaussian-integer matrix given column by column, and its free column.
+def _kernel_ints(columns: list[dict]) -> tuple[list[int], int]:
+    """Kernel vector of an integer matrix given column by column, and its free column.
 
     Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
     with pivot p in column c and previous pivot p_prev, every other row r
     becomes (p * r - r[c] * pivot_row) / p_prev.  Every entry stays a minor
-    of the matrix, so the division is exact in Z[i], and at the end every
-    pivot equals the last pivot d.  The free column's entry is d and pivot
-    column c_r's entry is -(row r)[free], all integers.
+    of the matrix, so the division is exact, and at the end every pivot
+    equals the last pivot d.  The free column's entry is d and pivot column
+    c_r's entry is -(row r)[free], all integers.
     """
     ncols = len(columns)
     keys = sorted(set().union(*columns))
-    rows = [[col.get(k, _ZERO_PAIR) for col in columns] for k in keys]
-    prev = (1, 0)
+    rows = [[col.get(k, 0) for col in columns] for k in keys]
+    prev = 1
     pivot_cols: list[int] = []
     for col in range(ncols):
         rank = len(pivot_cols)
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != _ZERO_PAIR), None)
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         pivot_row = rows[rank]
-        pr, pi = pivot_row[col]
+        p = pivot_row[col]
         kept = []
         for i, row in enumerate(rows):
             if i != rank:
-                fr, fi = row[col]
-                row = [
-                    _gauss_div(
-                        pr * xr - pi * xi - fr * yr + fi * yi,
-                        pr * xi + pi * xr - fr * yi - fi * yr,
-                        prev,
-                    )
-                    for (xr, xi), (yr, yi) in zip(row, pivot_row)
-                ]
-                if i > rank and all(x == _ZERO_PAIR for x in row):
+                f = row[col]
+                row = [divmod(p * x - f * y, prev) for x, y in zip(row, pivot_row)]
+                if any(r for _, r in row):
+                    raise KernelError("fraction-free elimination hit an inexact division")
+                row = [q for q, _ in row]
+                if i > rank and not any(row):
                     continue
             kept.append(row)
         rows = kept
-        prev = (pr, pi)
+        prev = p
         pivot_cols.append(col)
     free = [c for c in range(ncols) if c not in pivot_cols]
     if len(free) != 1:
-        raise KernelError(
-            f"pair-annihilation kernel has dimension {len(free)}, expected 1"
-        )
+        raise KernelError(f"pair-annihilation kernel has dimension {len(free)}, expected 1")
     f0 = free[0]
-    vec = [_ZERO_PAIR] * ncols
+    vec = [0] * ncols
     vec[f0] = prev
     for r, col in enumerate(pivot_cols):
-        xr, xi = rows[r][f0]
-        vec[col] = (-xr, -xi)
+        vec[col] = -rows[r][f0]
     return vec, f0
 
 
@@ -755,8 +711,8 @@ def _chain2_intrinsic(nu: int, sigma: int, t: int, barred: bool) -> FockState:
     Solved by fraction-free elimination over the span of
     (scalar^p)(pair-creator^q) seed with p + 2q = sigma - t, each element one
     apply of s^dag^p onto the cached chain-I state at (t + 2q, t + 2q), and
-    normalized so the span's first element (q = 0) has coefficient 1; phase
-    fixed so the coefficient of the pure scalar-power-times-seed monomial is
+    normalized so the span's first element (q = 0) has coefficient 1; the
+    coefficient of the pure scalar-power-times-seed monomial must then be
     positive.
     """
     span = []
@@ -770,23 +726,19 @@ def _chain2_intrinsic(nu: int, sigma: int, t: int, barred: bool) -> FockState:
     # (the ladder phases sit in the scales; only span[0]'s, the seed's 1, enters)
     # (folding scales each row by |orbit|, which leaves the kernel as it is)
     vec, _ = _kernel_ints([apply(down, v).orbits for v in span])
-    xr, xi = vec[0]
-    if not (xr or xi):
+    if not vec[0]:
         raise KernelError("kernel vector has no pure scalar-ladder component")
-    # dividing by x0 = xr + i xi: multiply each entry by its conjugate, scale by 1/|x0|^2
     out: dict = {}
-    for (vr, vi), v in zip(vec, span):
-        cr, ci = vr * xr + vi * xi, vi * xr - vr * xi
-        for occ, (re, im) in v.orbits.items():
-            prev = out.get(occ, _ZERO_PAIR)
-            out[occ] = (prev[0] + re * cr - im * ci, prev[1] + re * ci + im * cr)
-    state = FockState._of(_nonzero(out), span[0].scale / (xr * xr + xi * xi)).canonical()
+    for c, v in zip(vec, span):
+        for occ, d in v.orbits.items():
+            out[occ] = out.get(occ, 0) + c * d
+    # dividing by vec[0] makes span[0]'s coefficient 1
+    state = FockState._of(_nonzero(out), span[0].scale / vec[0]).canonical()
     # canonical() makes the scale positive, so the phase shows in the integers;
-    # the marker is an orbit of one monomial, so its d is its coefficient
+    # the marker is an orbit of one monomial with occ_2 = 0, so its d is its coefficient
     marker = (sigma - t, t) + (0,) * (nu - 1)
-    lead_re, lead_im = state.orbits[marker]
-    if lead_im != 0 or lead_re <= 0:
-        raise KernelError("phase fixing failed: leading coefficient not positive real")
+    if state.orbits.get(marker, 0) <= 0:
+        raise KernelError("phase fixing failed: leading coefficient not positive")
     return state
 
 
@@ -835,7 +787,7 @@ def oracle_bracket(
     """
     one = build_chain1_state(nu, N, n, tau)
     two = build_chain2_state(nu, N, sigma, tau, convention)
-    return _signed_square(_real_dot(one.state, two.state), one.unit, two.unit)
+    return _signed_square(_dot(one.state, two.state), one.unit, two.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -844,15 +796,18 @@ def oracle_bracket(
 
 
 @lru_cache(maxsize=None)
-def _rotations(nu: int) -> tuple[BosonOperator, ...]:
-    """The SO(nu) generators so_generator(nu, j, k), 1 <= j < k <= nu."""
-    return tuple(so_generator(nu, j, k) for j in range(1, nu + 1) for k in range(j + 1, nu + 1))
+def _rotations(nu: int) -> tuple[tuple[BosonOperator, int], ...]:
+    """(g, sign) of the SO(nu) generators i(b_j^dag b_k - b_k^dag b_j), 1 <= j < k <= nu."""
+    return tuple(_generator(j, k, False) for j in range(1, nu + 1) for k in range(j + 1, nu + 1))
 
 
 @lru_cache(maxsize=None)
-def _mixings(nu: int, barred: bool) -> tuple[BosonOperator, ...]:
-    """The mixings d_generator(nu, j, barred) that SO(nu+1) adds to the rotations."""
-    return tuple(d_generator(nu, j, barred) for j in range(1, nu + 1))
+def _mixings(nu: int, barred: bool) -> tuple[tuple[BosonOperator, int], ...]:
+    """(g, sign) of the mixings that SO(nu+1) adds to the rotations, 1 <= j <= nu.
+
+    Standard: i(s^dag b_j - b_j^dag s); barred: s^dag b_j + b_j^dag s.
+    """
+    return tuple(_generator(0, j, barred) for j in range(1, nu + 1))
 
 
 def casimir_apply(
@@ -863,14 +818,15 @@ def casimir_apply(
 ) -> FockState:
     """Quadratic Casimir (sum of squared generators) applied exactly to psi.
 
-    C_SO(nu) sums the rotations' squares; C_SO(nu+1) adds sum_j d_j**2 over
-    the mixings.  _ROWS[nu] holds (ids, occs, tables): a numbering of orbit
+    C_SO(nu) sums the rotations' squares G**2; C_SO(nu+1) adds those of the
+    mixings.  Each G**2 is sign * g**2 with g real (see _generator).
+    _ROWS[nu] holds (ids, occs, tables): a numbering of orbit
     representatives, occs[ids[occ]] == occ, and one table of rows per part,
     filled as psi's orbits meet them.  rows[rep] is the flat tuple
-    (id_1, re_1, im_1, id_2, ...) of the nonzero Gaussian-integer
-    coefficients of sum_g g**2 |rep>, composed with `_product_on` and folded
-    into representatives.  No g commutes with the permutations of the modes
-    3..nu, but sum_g g**2 does, so the folded row is exact.  The SO(nu)
+    (id_1, c_1, id_2, c_2, ...) of the nonzero integer coefficients of
+    sum_G G**2 |rep>, composed with `_product_on` and folded into
+    representatives.  No G commutes with the permutations of the modes
+    3..nu, but sum_G G**2 does, so the folded row is exact.  The SO(nu)
     table (part None) has no convention, so it serves both groups and both
     conventions.  A nonzero psi of another nu raises LabelError.
     """
@@ -888,36 +844,31 @@ def casimir_apply(
         table = tables.get(part)
         if table is None:
             gens = _rotations(nu) if part is None else _mixings(nu, part)
-            if any(g.den != 1 for g in gens):
+            if any(g.den != 1 for g, _ in gens):
                 raise KernelError("a Casimir generator has non-integer coefficients")
             table = tables[part] = (gens, {})
         gens, rows = table
-        for occ, (ar, ai) in psi.orbits.items():
+        for occ, d in psi.orbits.items():
             row = rows.get(occ)
             if row is None:
                 acc: dict = {}
-                for g in gens:
-                    _product_on(g, g, occ, 1, acc)
+                for g, sign in gens:
+                    _product_on(g, g, occ, sign, acc)
                 if nu > 3:
                     acc = _fold(acc)
                 flat = []
-                for key, (re, im) in acc.items():
-                    if re or im:
+                for key, c in acc.items():
+                    if c:
                         i = ids.get(key)
                         if i is None:
                             i = ids[key] = len(occs)
                             occs.append(key)
-                        flat += (i, re, im)
+                        flat += (i, c)
                 row = rows[occ] = tuple(flat)
             it = iter(row)
-            for i, cr, ci in zip(it, it, it):
-                if ci:
-                    vr, vi = ar * cr - ai * ci, ar * ci + ai * cr
-                else:
-                    vr, vi = ar * cr, ai * cr
-                prev = get(i)
-                out[i] = (vr, vi) if prev is None else (prev[0] + vr, prev[1] + vi)
-    return FockState._of({occs[i]: c for i, c in out.items() if c[0] or c[1]}, psi.scale)
+            for i, c in zip(it, it):
+                out[i] = get(i, 0) + d * c
+    return FockState._of({occs[i]: c for i, c in out.items() if c}, psi.scale)
 
 
 def casimir_check(
@@ -930,7 +881,7 @@ def casimir_check(
     if psi.is_zero:
         raise LabelError("casimir_check needs a nonzero state")
     image = casimir_apply(nu, psi, group, convention)
-    return rational(_real_dot(psi, image), _real_dot(psi, psi)) * image.scale / psi.scale
+    return rational(_dot(psi, image), _dot(psi, psi)) * image.scale / psi.scale
 
 
 def is_exact_eigenstate(
@@ -968,18 +919,21 @@ def su11_commutator_check(nu: int, cutoff: int = 6) -> bool:
     Verified exactly on every full-space occupation monomial with total
     boson number up to the cutoff: [Q+, Q-] = -2 Q0, [Q0, Q+-] = +-Q+-, the
     b-space pair creator commutes with all rotation generators, and the full
-    pair creator commutes with rotation and mixing generators alike.  A single
-    monomial is not symmetric under permutations of the modes 3..nu, so both
-    sides are composed on it with `_product_on`, never held as a FockState.
+    pair creator commutes with rotation and mixing generators alike.  Each
+    generator G is a multiple of its real g, so [P, G] = 0 exactly when
+    [P, g] = 0, and g is checked.  A single monomial is not symmetric under
+    permutations of the modes 3..nu, so both sides are composed on it with
+    `_product_on`, never held as a FockState.
     """
     check_dimension(nu)
     if cutoff < 0:
         raise LabelError(f"cutoff={cutoff} must be nonnegative")
     qp, qm, q0 = quasispin_plus(nu), quasispin_minus(nu), quasispin_zero(nu)
-    rot, mix = _rotations(nu), _mixings(nu, False)
+    rot = [g for g, _ in _rotations(nu)]
+    mix = [g for g, _ in _mixings(nu, False)]
     pair_b = pair_creation_b(nu)
     pair_full = pair_creation_full(nu)
-    one = BosonOperator([(1, 0, (), ())])
+    one = BosonOperator([(1, (), ())])
 
     def vanishes(occ: tuple, products) -> bool:
         """Whether the sum of sign * (a b)|occ> / (a.den b.den) over products (a, b, sign) is 0."""
@@ -987,7 +941,7 @@ def su11_commutator_check(nu: int, cutoff: int = 6) -> bool:
         out: dict = {}
         for a, b, sign in products:
             _product_on(a, b, occ, sign * den // (a.den * b.den), out)
-        return not any(re or im for re, im in out.values())
+        return not any(out.values())
 
     # each identity is a sum of (a, b, sign) products that must vanish
     identities = [
@@ -1000,12 +954,16 @@ def su11_commutator_check(nu: int, cutoff: int = 6) -> bool:
 
 
 def state_to_json(psi: FockState) -> list[dict]:
-    """JSON-able dump: one record per monomial with rational-string coefficients."""
-    scale = psi.scale
-    return [
-        {"occ": list(occ), "re": str(re * scale), "im": str(im * scale)}
-        for occ, (re, im) in sorted(psi.terms.items())
-    ]
+    """JSON-able dump: one record per monomial with b_2's complex coefficient c * scale * i^occ_2.
+
+    The real and imaginary parts are rational strings; i^occ_2 is 1, i, -1, -i as occ_2 % 4 is 0..3.
+    """
+    out = []
+    for occ, c in sorted(psi.terms.items()):
+        value = str(c * psi.scale if occ[2] % 4 < 2 else -c * psi.scale)
+        re, im = ("0", value) if occ[2] % 2 else (value, "0")
+        out.append({"occ": list(occ), "re": re, "im": im})
+    return out
 
 
 # every cached function, collected at import below the last one: a module attribute
@@ -1014,7 +972,7 @@ _CACHED = tuple(fn for fn in vars().values() if hasattr(fn, "cache_clear"))
 
 
 def clear_caches() -> None:
-    """Drop memoized states, shared values, orbit weights and sizes, Casimir rows and operators."""
+    """Drop memoized states, shared keys and ints, orbit weights and sizes, Casimir rows and operators."""
     for fn in _CACHED:
         fn.cache_clear()
     for memo in (_SHARED, _WEIGHT, _SIZE, _ROWS):

@@ -22,14 +22,13 @@ from chainbrackets.fockoracle import (
     CasimirGroup,
     FockState,
     KernelError,
-    NormalizedState,
     _chain2_intrinsic,
     _dot,
+    _generator,
     _kernel_ints,
     _mixings,
     _monomials,
     _product_on,
-    _real_dot,
     _real_norm_sq,
     _rotations,
     apply,
@@ -40,7 +39,6 @@ from chainbrackets.fockoracle import (
     casimir_check,
     clear_caches,
     creation_power,
-    d_generator,
     inner,
     is_exact_eigenstate,
     number_operator,
@@ -56,7 +54,6 @@ from chainbrackets.fockoracle import (
     quasispin_zero,
     s_number_operator,
     seed_state,
-    so_generator,
     state_to_json,
     su11_commutator_check,
 )
@@ -69,25 +66,17 @@ def gr(re, im=0):
 
 
 def monomial(*occ):
-    return FockState({tuple(occ): (1, 0)})
+    return FockState({tuple(occ): 1})
 
 
 def _added(a, b):
     """Reference sum of two states, coefficient by coefficient, over the scale 1/(da db)."""
     sa, sb = a.scale, b.scale
     ma, mb = sa.numerator * sb.denominator, sb.numerator * sa.denominator
-    terms = {occ: (re * ma, im * ma) for occ, (re, im) in a.terms.items()}
-    for occ, (re, im) in b.terms.items():
-        r0, i0 = terms.get(occ, (0, 0))
-        terms[occ] = (r0 + re * mb, i0 + im * mb)
+    terms = {occ: c * ma for occ, c in a.terms.items()}
+    for occ, c in b.terms.items():
+        terms[occ] = terms.get(occ, 0) + c * mb
     return FockState(terms, rational(1, sa.denominator * sb.denominator))
-
-
-def _scaled(psi, c):
-    """Reference product of a state with the Gaussian integer c = (cr, ci), coefficient by coefficient."""
-    cr, ci = c
-    terms = {occ: (re * cr - im * ci, re * ci + im * cr) for occ, (re, im) in psi.terms.items()}
-    return FockState(terms, psi.scale)
 
 
 def test_apply_number_operator():
@@ -96,13 +85,14 @@ def test_apply_number_operator():
 
 
 def test_apply_annihilates_empty_mode():
-    op = BosonOperator([(1, 0, (), ((1, 1),))])
+    op = BosonOperator([(1, (), ((1, 1),))])
     assert apply(op, monomial(2, 0, 1)).is_zero
 
 
 def test_pair_creator_on_vacuum():
     out = apply(pair_creation_b(2), monomial(0, 0, 0))
-    assert out == FockState({(0, 2, 0): (1, 0), (0, 0, 2): (1, 0)})
+    # b_2^dag^2 = -beta_2^dag^2
+    assert out == FockState({(0, 2, 0): 1, (0, 0, 2): -1})
 
 
 def _ladder(psi, word):
@@ -120,12 +110,46 @@ def _ladder(psi, word):
     return psi
 
 
+def _image(psi, formula):
+    """The Cartesian formula [(coefficient, word), ...] applied to psi, a dict occ -> (re, im)."""
+    out = {}
+    for (cr, ci), word in formula:
+        for key, (xr, xi) in _ladder(psi, word).items():
+            r0, i0 = out.get(key, (0, 0))
+            out[key] = (r0 + cr * xr - ci * xi, i0 + cr * xi + ci * xr)
+    return out
+
+
+def _times_i_power(c, k):
+    """The Gaussian integer c = (re, im) times i**k."""
+    for _ in range(k % 4):
+        c = (-c[1], c[0])
+    return c
+
+
+def _in_beta_basis(occ, image):
+    """The Cartesian image of the monomial occ as the oracle's ints, mode 2 being beta_2 = -i b_2.
+
+    |occ> = i^occ_2 |occ>_b, so the coefficient of |key> is the Cartesian one
+    times i^(occ_2 - key_2); it must be real.
+    """
+    out = {}
+    for key, c in image.items():
+        re, im = _times_i_power(c, occ[2] - key[2])
+        assert im == 0, (occ, key)
+        if re:
+            out[key] = re
+    return out
+
+
 def _defining_formulas(nu):
     """(name, constructed operator, den, [(coefficient, word), ...]) for every constructor at nu.
 
-    Each coefficient is a Gaussian integer (re, im); the formula is their sum over den.
+    Each coefficient is a Gaussian integer (re, im) and each word is Cartesian,
+    in b_2; the formula is their sum over den.  creation_power(2, p) is
+    beta_2^dag^p = i^p b_2^dag^p.
     """
-    one, i, minus_i = (1, 0), (0, 1), (0, -1)
+    one = (1, 0)
     b = range(1, nu + 1)
 
     def dag(j, p=1):
@@ -138,7 +162,7 @@ def _defining_formulas(nu):
     pair_b = [ann(j, 2) for j in b]
     n_b = [dag(j) + ann(j) for j in b]
     cases = [
-        (f"creation_power({m}, {p})", creation_power(m, p), 1, [(one, dag(m, p))])
+        (f"creation_power({m}, {p})", creation_power(m, p), 1, [(_times_i_power(one, p * (m == 2)), dag(m, p))])
         for m in range(nu + 1)
         for p in (1, 2, 3)
     ]
@@ -158,17 +182,6 @@ def _defining_formulas(nu):
         ("quasispin_minus", quasispin_minus(nu), 2, [(one, w) for w in pair_b]),
         ("quasispin_zero", quasispin_zero(nu), 4, [((2, 0), w) for w in n_b] + [((nu, 0), ())]),
     ]
-    cases += [
-        (
-            f"so_generator({j}, {k})",
-            so_generator(nu, j, k),
-            1,
-            [(i, dag(j) + ann(k)), (minus_i, dag(k) + ann(j))],
-        )
-        for j in b
-        for k in b
-        if j < k
-    ]
     for barred in (False, True):
         sign = (-1, 0) if barred else one
         cases += [
@@ -185,34 +198,54 @@ def _defining_formulas(nu):
                 [(one, ann(0, 2))] + [(sign, w) for w in pair_b],
             ),
         ]
-        for j in b:
-            up, down = dag(0) + ann(j), dag(j) + ann(0)
-            mixing = [(one, up), (one, down)] if barred else [(i, up), (minus_i, down)]
-            cases.append((f"d_generator({j}, barred={barred})", d_generator(nu, j, barred), 1, mixing))
+    return cases
+
+
+def _generator_formulas(nu):
+    """(name, (g, sign) from _generator, Cartesian formula of the generator G) for every generator at nu.
+
+    The rotations are i(b_j^dag b_k - b_k^dag b_j); the mixings i(s^dag b_j - b_j^dag s)
+    (standard) and s^dag b_j + b_j^dag s (barred).
+    """
+    i, minus_i, one = (0, 1), (0, -1), (1, 0)
+    pairs = [(j, k, False) for j in range(1, nu + 1) for k in range(j + 1, nu + 1)]
+    pairs += [(0, j, hermitian) for j in range(1, nu + 1) for hermitian in (False, True)]
+    cases = []
+    for j, k, hermitian in pairs:
+        up, down = ((j, 1), (k, -1)), ((k, 1), (j, -1))
+        formula = [(one, up), (one, down)] if hermitian else [(i, up), (minus_i, down)]
+        cases.append((f"_generator({j}, {k}, {hermitian})", _generator(j, k, hermitian), formula))
     return cases
 
 
 @pytest.mark.parametrize("nu", [2, 3, 4])
 def test_every_operator_constructor_applies_its_defining_formula(nu):
+    # each constructor against its Cartesian formula, through the phase i^occ_2 of the
+    # beta_2 basis; each generator G through G**2 = sign * g**2
     cases = _defining_formulas(nu)
     for name, op, den, formula in cases:
         assert len(op.terms) == len(formula), name
         assert op.den == den, name
-    identity = BosonOperator([(1, 0, (), ())])
+    generators = _generator_formulas(nu)
+    for name, (g, sign), formula in generators:
+        assert len(g.terms) == len(formula) and g.den == 1 and sign in (1, -1), name
+    identity = BosonOperator([(1, (), ())])
     for occ in _monomials(nu, 4):
+        start = {occ: (1, 0)}
         for name, op, den, formula in cases:
-            expected = {}
-            for (cr, ci), word in formula:
-                for key, (xr, xi) in _ladder({occ: (1, 0)}, word).items():
-                    r0, i0 = expected.get(key, (0, 0))
-                    expected[key] = (r0 + cr * xr - ci * xi, i0 + cr * xi + ci * xr)
+            expected = _in_beta_basis(occ, _image(start, formula))
             # a single monomial is not symmetric in the modes 3..nu at nu >= 4, so the
             # operator acts on it in the full space, composed with the identity
             got = {}
             _product_on(op, identity, occ, 1, got)
-            assert fullspace.nonzero(got) == fullspace.nonzero(expected), (name, occ)
+            assert fullspace.nonzero(got) == expected, (name, occ)
             if nu <= 3:
                 assert apply(op, monomial(*occ)) == FockState(expected, rational(1, den)), (name, occ)
+        for name, (g, sign), formula in generators:
+            expected = _in_beta_basis(occ, _image(_image(start, formula), formula))
+            got = {}
+            _product_on(g, g, occ, sign, got)
+            assert fullspace.nonzero(got) == expected, (name, occ)
 
 
 def test_inner_examples():
@@ -224,23 +257,38 @@ def test_inner_examples():
     assert inner(seed, seed) == gr(2)
 
 
+def _cartesian_inner(psi, phi):
+    """Reference: sum conj(x) y prod occ_j! over the Cartesian coefficients that state_to_json prints."""
+
+    def view(state):
+        return {tuple(r["occ"]): gr(rational(r["re"]), rational(r["im"])) for r in state_to_json(state)}
+
+    bra, ket = view(psi), view(phi)
+    total = gr(0)
+    for occ, x in bra.items():
+        if occ in ket:
+            total = total + gr(x.re, -x.im) * ket[occ] * gr(math.prod(map(math.factorial, occ)))
+    return total
+
+
 def test_inner_conjugates_the_bra():
-    a = FockState({(1, 0, 0): (0, 1)})
-    b = monomial(1, 0, 0)
-    assert inner(a, b) == gr(0, -1)
-    assert inner(b, a) == gr(0, 1)
-    # a larger state on either side: the bra stays conjugated
-    big = FockState({(1, 0, 0): (0, 1), (0, 1, 0): (2, 0)}, rational(1, 2))
-    assert inner(big, b) == gr(0, rational(-1, 2))
-    assert inner(b, big) == gr(0, rational(1, 2))
+    # s^dag beta_2^dag = i s^dag b_2^dag: the Cartesian coefficient is i, and <a|a> = conj(i) i = 1
+    a = monomial(1, 0, 1)
+    assert state_to_json(a) == [{"occ": [1, 0, 1], "re": "0", "im": "1"}]
+    assert inner(a, a) == _cartesian_inner(a, a) == gr(1)
+    # a larger state on either side, with occ_2 = 0..3: the bra stays conjugated
+    big = FockState({(1, 0, 1): 1, (0, 1, 0): 2, (0, 1, 2): -3, (0, 0, 3): 5}, rational(1, 2))
+    for bra, ket in ((big, a), (a, big), (big, big)):
+        assert inner(bra, ket) == _cartesian_inner(bra, ket), (bra, ket)
+    assert inner(big, a) == inner(a, big) == gr(rational(1, 2))
+    assert inner(big, big) == gr(rational(1 + 4 + 9 * 2 + 25 * 6, 4))
 
 
 def test_seed_examples():
     assert seed_state(4, 0) == monomial(0, 0, 0, 0, 0)
-    assert seed_state(2, 1) == FockState({(0, 1, 0): (1, 0), (0, 0, 1): (0, 1)})
-    assert seed_state(3, 2) == FockState(
-        {(0, 2, 0, 0): (1, 0), (0, 1, 1, 0): (0, 2), (0, 0, 2, 0): (-1, 0)}
-    )
+    # (b_1^dag + beta_2^dag)^tau: the binomials
+    assert seed_state(2, 1) == FockState({(0, 1, 0): 1, (0, 0, 1): 1})
+    assert seed_state(3, 2) == FockState({(0, 2, 0, 0): 1, (0, 1, 1, 0): 2, (0, 0, 2, 0): 1})
 
 
 def test_seed_is_killed_by_pair_annihilator_and_carries_seniority():
@@ -253,10 +301,11 @@ def test_seed_is_killed_by_pair_annihilator_and_carries_seniority():
 
 def test_chain1_states():
     st = build_chain1_state(2, 2, 0, 0)
-    assert st.state == FockState({(2, 0, 0): (1, 0)})
+    assert st.state == FockState({(2, 0, 0): 1})
     assert st.norm_sq == 2
     st = build_chain1_state(2, 2, 2, 0)
-    assert st.state == FockState({(0, 2, 0): (-1, 0), (0, 0, 2): (-1, 0)})
+    # -(b_1^dag^2 + b_2^dag^2) = -b_1^dag^2 + beta_2^dag^2
+    assert st.state == FockState({(0, 2, 0): -1, (0, 0, 2): 1})
     assert st.norm_sq == 4
     st = build_chain1_state(2, 1, 1, 1)
     assert st.state == seed_state(2, 1)
@@ -278,12 +327,10 @@ def test_chain1_eigenvalues():
 
 def test_chain2_states_frozen():
     st = build_chain2_state(2, 2, 0, 0)
-    assert st.state == FockState({(2, 0, 0): (-1, 0), (0, 2, 0): (-1, 0), (0, 0, 2): (-1, 0)})
+    assert st.state == FockState({(2, 0, 0): -1, (0, 2, 0): -1, (0, 0, 2): 1})
     assert st.norm_sq == 6
     st = build_chain2_state(2, 2, 2, 0)
-    assert st.state == FockState(
-        {(2, 0, 0): (2, 0), (0, 2, 0): (-1, 0), (0, 0, 2): (-1, 0)}, rational(1, 2)
-    )
+    assert st.state == FockState({(2, 0, 0): 2, (0, 2, 0): -1, (0, 0, 2): 1}, rational(1, 2))
     assert st.norm_sq == 3
     st = build_chain2_state(3, 4, 4, 4)
     assert st.state == seed_state(3, 4)
@@ -380,96 +427,110 @@ def test_su11_commutator_examples():
 
 
 def test_nullspace_guards():
-    # columns are Gaussian-integer maps occupation -> (re, im)
-    a = {(1, 0): (1, 0)}
+    # columns are integer maps occupation -> c
+    a = {(1, 0): 1}
     # two zero columns: kernel is 2-dimensional, must be rejected
     with pytest.raises(KernelError):
         _kernel_ints([{}, {}])
     # independent columns: kernel is empty, must be rejected too
     with pytest.raises(KernelError):
-        _kernel_ints([a, {(0, 1): (1, 0)}])
+        _kernel_ints([a, {(0, 1): 1}])
     # a one-dimensional kernel comes back as integers, with its free column
-    assert _kernel_ints([a, {(1, 0): (-1, 0)}]) == ([(1, 0), (1, 0)], 1)
-    assert _kernel_ints([a, {(1, 0): (0, 1)}]) == ([(0, -1), (1, 0)], 1)
+    assert _kernel_ints([a, {(1, 0): -1}]) == ([1, 1], 1)
+    assert _kernel_ints([a, {(1, 0): 3}]) == ([-3, 1], 1)
+    # rows (2, 1, 3) and (1, 3, 4): the second pivot's row is divided exactly by the first pivot, 2
+    columns = [{(0, 1): 2, (1, 0): 1}, {(0, 1): 1, (1, 0): 3}, {(0, 1): 3, (1, 0): 4}]
+    assert _kernel_ints(columns) == ([-5, -5, 5], 2)
 
 
 def test_constructor_drops_zero_pairs_and_keeps_the_scale():
     terms = {
-        (0, 1, 0): (21, -28),
-        (1, 0, 0): (-126, 0),
-        (0, 0, 1): (0, 30),
-        (2, 0, 0): (0, 0),
+        (0, 1, 0): 21,
+        (1, 0, 0): -126,
+        (0, 0, 1): 30,
+        (2, 0, 0): 0,
     }
     psi = FockState(terms, rational(1, 42))
-    assert psi.terms == {occ: c for occ, c in terms.items() if c != (0, 0)}
+    assert psi.terms == {occ: c for occ, c in terms.items() if c != 0}
     assert len(psi.terms) == 3
     assert psi.scale == rational(1, 42)
     assert (2, 0, 0) in terms  # the argument is not modified
     assert FockState(psi.terms, psi.scale) == psi
     assert FockState(terms).scale == 1
-    assert FockState({(0, 0, 0): (0, 0)}).is_zero
-    assert not FockState({(0, 0, 0): (0, -1)}).is_zero
+    assert FockState({(0, 0, 0): 0}).is_zero
+    assert not FockState({(0, 0, 0): -1}).is_zero
+
+
+def test_constructor_refuses_malformed_keys():
+    # keys of two lengths: the SO(2) check read the nu = 3 monomial as if it were of nu = 2
+    mixed = {(0, 1, 0): 1, (0, 1, 0, 0): 1}
+    with pytest.raises(LabelError, match="one length"):
+        is_exact_eigenstate(2, FockState(mixed), CasimirGroup.SO_NU, 1)
+    # a negative occupation: <psi|psi> read 1 and b_1^dag psi read the vacuum
+    negative = {(0, -1, 0): 1}
+    with pytest.raises(LabelError, match="none negative"):
+        inner(FockState(negative), seed_state(2, 0))
+    with pytest.raises(LabelError, match="none negative"):
+        apply(creation_power(1, 1), FockState(negative))
+    # a key shorter than nu + 1 = 3
+    with pytest.raises(LabelError, match="nu \\+ 1 >= 3"):
+        FockState({(1, 0): 1})
+    # the malformed key is refused even when its coefficient is zero
+    with pytest.raises(LabelError):
+        FockState({(0, 0, 0): 1, (0, 0): 0})
+    assert FockState({}).is_zero and FockState({(0, 0, 0, 0): 0}).is_zero
 
 
 def test_times_zero_and_negative_scalars():
-    a = FockState({(1, 0): (1, 6)}, rational(1, 2))
+    a = FockState({(1, 0, 0): 1, (0, 1, 0): 6}, rational(1, 2))
     assert a.times(0).is_zero
     assert a.times(rational(0)) == FockState({})
-    assert a.times(-2) == FockState({(1, 0): (-1, -6)})
+    assert a.times(-2) == FockState({(1, 0, 0): -1, (0, 1, 0): -6})
     assert a.times(rational(-1, 3)).times(-3) == a
     assert _added(a.times(-1), a).is_zero
 
 
 def test_equal_representations_hash_alike():
     occ = (0, 1, 0)
-    half_of_two = FockState({occ: (2, 0)}, rational(1, 2))
-    one = FockState({occ: (1, 0)})
-    minus_minus = FockState({occ: (-3, 0)}, rational(-1, 3))
+    half_of_two = FockState({occ: 2}, rational(1, 2))
+    one = FockState({occ: 1})
+    minus_minus = FockState({occ: -3}, rational(-1, 3))
     assert half_of_two == one == minus_minus
     assert hash(half_of_two) == hash(one) == hash(minus_minus)
     assert half_of_two != one.times(2)
-    two_terms = FockState({occ: (1, 0), (1, 0, 0): (0, -3)}, rational(1, 2))
-    assert two_terms == FockState({occ: (-2, 0), (1, 0, 0): (0, 6)}, rational(-1, 4))
-    assert hash(two_terms) == hash(FockState({occ: (-2, 0), (1, 0, 0): (0, 6)}, rational(-1, 4)))
+    two_terms = FockState({occ: 1, (1, 0, 0): -3}, rational(1, 2))
+    assert two_terms == FockState({occ: -2, (1, 0, 0): 6}, rational(-1, 4))
+    assert hash(two_terms) == hash(FockState({occ: -2, (1, 0, 0): 6}, rational(-1, 4)))
     assert hash(FockState({})) == hash(FockState({}).times(5))
 
 
-def _inverse(c):
-    norm = c.re * c.re + c.im * c.im
-    return GaussianRational(c.re / norm, -c.im / norm)
-
-
 def _kernel_by_fraction_gauss_jordan(images):
-    """Reference: Gauss-Jordan elimination over Gaussian rationals, free entry 1."""
-    zero, one = gr(0), gr(1)
+    """Reference: Gauss-Jordan elimination over the rationals, free entry 1."""
     ncols = len(images)
-    columns = [(im.terms, gr(im.scale)) for im in images]  # each full-space view built once
+    columns = [(im.terms, im.scale) for im in images]  # each full-space view built once
     keys = sorted(set().union(*(terms.keys() for terms, _ in columns)))
-    rows = [
-        [gr(*terms.get(k, (0, 0))) * scale for terms, scale in columns]
-        for k in keys
-    ]
+    rows = [[terms.get(k, 0) * scale for terms, scale in columns] for k in keys]
     pivot_of_col = {}
     rank = 0
     for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if not rows[i][col].is_zero), None)
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = _inverse(rows[rank][col])
+        inv = 1 / rows[rank][col]
         rows[rank] = [x * inv for x in rows[rank]]
         for i in range(len(rows)):
-            if i != rank and not rows[i][col].is_zero:
+            if i != rank and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         pivot_of_col[col] = rank
         rank += 1
     free = [c for c in range(ncols) if c not in pivot_of_col]
     assert len(free) == 1
-    vec = [zero] * ncols
-    vec[free[0]] = one
+    vec = [rational(0)] * ncols
+    vec[free[0]] = rational(1)
     for col, r in pivot_of_col.items():
-        vec[col] = zero - rows[r][free[0]]
+        vec[col] = -rows[r][free[0]]
     return vec
 
 
@@ -483,15 +544,14 @@ def _intrinsic_reference(nu, sigma, t, barred):
         span.append(apply(creation_power(0, p), base) if p else base)
     down = pair_annihilation_full(nu, barred)
     vec = _kernel_by_fraction_gauss_jordan([apply(down, v) for v in span])
-    lead = _inverse(vec[0])
     out = {}
     for c, v in zip(vec, span):
-        weight = c * lead * gr(v.scale)
+        weight = c / vec[0] * v.scale
         for occ, x in v.terms.items():
-            out[occ] = out.get(occ, gr(0)) + weight * gr(*x)
-    # the Gaussian-rational coefficients as Gaussian integers over their common denominator
-    den = math.lcm(*(part.denominator for c in out.values() for part in (c.re, c.im)))
-    terms = {occ: (int(c.re * den), int(c.im * den)) for occ, c in out.items()}
+            out[occ] = out.get(occ, 0) + weight * x
+    # the rational coefficients as integers over their common denominator
+    den = math.lcm(*(c.denominator for c in out.values()))
+    terms = {occ: int(c * den) for occ, c in out.items()}
     return FockState(terms, rational(1, den))
 
 
@@ -549,17 +609,18 @@ def test_state_to_json():
         {"occ": [0, 0, 1], "re": "0", "im": "1"},
         {"occ": [0, 1, 0], "re": "1", "im": "0"},
     ]
-    # each part is the integer times the scale, as one rational string
-    psi = FockState({(1, 0, 0): (0, 2), (0, 1, 0): (3, -4), (0, 0, 1): (-5, 0)}, rational(-2, 3))
+    # each part is the integer times the scale times i^occ_2, as one rational string
+    psi = FockState({(3, 0, 0): 2, (2, 0, 1): 3, (1, 0, 2): -5, (0, 0, 3): 7}, rational(-2, 3))
     assert state_to_json(psi) == [
-        {"occ": [0, 0, 1], "re": "10/3", "im": "0"},
-        {"occ": [0, 1, 0], "re": "-2", "im": "8/3"},
-        {"occ": [1, 0, 0], "re": "0", "im": "-4/3"},
+        {"occ": [0, 0, 3], "re": "0", "im": "14/3"},
+        {"occ": [1, 0, 2], "re": "-10/3", "im": "0"},
+        {"occ": [2, 0, 1], "re": "0", "im": "-2"},
+        {"occ": [3, 0, 0], "re": "-4/3", "im": "0"},
     ]
 
 
 def _casimir_by_definition(nu, psi, group, convention):
-    """Sum over the generators g of g(g psi), each step a full-space reference apply.
+    """Sum over the generators G of G(G psi) = sign * g(g psi), each step a full-space reference apply.
 
     No single generator commutes with the permutations of the modes 3..nu,
     so the steps run on psi's full-space terms; the sum is symmetric again.
@@ -569,10 +630,9 @@ def _casimir_by_definition(nu, psi, group, convention):
     gens = _rotations(nu)
     if group is CasimirGroup.SO_NU_PLUS_ONE:
         gens += _mixings(nu, convention is Convention.BARRED)
-    for g in gens:
-        for occ, (re, im) in fullspace.apply(g, fullspace.apply(g, terms)).items():
-            r0, i0 = out.get(occ, (0, 0))
-            out[occ] = (r0 + re, i0 + im)
+    for g, sign in gens:
+        for occ, c in fullspace.apply(g, fullspace.apply(g, terms)).items():
+            out[occ] = out.get(occ, 0) + sign * c
     return FockState(out, psi.scale)
 
 
@@ -596,7 +656,7 @@ def _casimir_cases(nu):
         terms = {}
         while len(terms) < 8:
             occ = tuple(rng.randrange(3) for _ in range(nu + 1))
-            c = (rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(-9, 9))
+            c = rng.choice((-1, 1)) * rng.randint(1, 9)
             # every ordering of occ[3:] alike, so the state is symmetric in the modes 3..nu
             terms.update(dict.fromkeys((occ[:3] + tail for tail in permutations(occ[3:])), c))
         cases.append(FockState(terms, rational(rng.randint(2, 7), rng.randint(8, 13))))
@@ -642,29 +702,28 @@ def cold_caches():
     clear_caches()
 
 
-def test_casimir_row_memo_carries_complex_coefficients(monkeypatch, cold_caches):
-    # the square of a rotation plus a barred mixing has imaginary cross terms:
-    # g = i(b_1^dag b_2 - b_2^dag b_1) + s^dag b_1 + b_1^dag s
+def test_casimir_row_memo_carries_each_generator_sign(monkeypatch, cold_caches):
+    # a generator G = i g enters the rows as -g**2: g = b_1^dag b_3 - b_3^dag b_1 + s^dag b_1 + b_1^dag s
     g = BosonOperator(
         [
-            (0, 1, ((1, 1),), ((2, 1),)),
-            (0, -1, ((2, 1),), ((1, 1),)),
-            (1, 0, ((0, 1),), ((1, 1),)),
-            (1, 0, ((1, 1),), ((0, 1),)),
+            (1, ((1, 1),), ((3, 1),)),
+            (-1, ((3, 1),), ((1, 1),)),
+            (1, ((0, 1),), ((1, 1),)),
+            (1, ((1, 1),), ((0, 1),)),
         ]
     )
     psi = _casimir_cases(3)[-1]
-    expected = apply(g, apply(g, psi))
-    assert any(im for _, im in expected.terms.values())
-    monkeypatch.setattr(fockoracle, "_rotations", lambda nu: (g,))
+    expected = apply(g, apply(g, psi)).times(-1)
+    assert not expected.is_zero
+    monkeypatch.setattr(fockoracle, "_rotations", lambda nu: ((g, -1),))
     assert casimir_apply(3, psi, CasimirGroup.SO_NU) == expected
     assert casimir_apply(3, psi, CasimirGroup.SO_NU) == expected
 
 
 def test_casimir_rejects_a_generator_with_a_denominator(monkeypatch, cold_caches):
-    # (i/2)(b_1^dag b_2 - b_2^dag b_1): half of a rotation generator
-    half = BosonOperator([(0, 1, ((1, 1),), ((2, 1),)), (0, -1, ((2, 1),), ((1, 1),))], den=2)
-    monkeypatch.setattr(fockoracle, "_rotations", lambda nu: (half,))
+    # (1/2)(b_1^dag beta_2 + beta_2^dag b_1): half of the real g of a rotation generator
+    half = BosonOperator([(1, ((1, 1),), ((2, 1),)), (1, ((2, 1),), ((1, 1),))], den=2)
+    monkeypatch.setattr(fockoracle, "_rotations", lambda nu: ((half, 1),))
     with pytest.raises(KernelError):
         casimir_apply(3, seed_state(3, 1), CasimirGroup.SO_NU)
 
@@ -689,14 +748,14 @@ def test_product_on_equals_composed_apply():
         quasispin_plus(nu),
         quasispin_minus(nu),
         quasispin_zero(nu),
-        so_generator(nu, 1, 3),
-        d_generator(nu, 2),
-        d_generator(nu, 2, barred=True),
+        _generator(1, 3, False)[0],
+        _generator(0, 2, False)[0],
+        _generator(0, 2, True)[0],
         pair_creation_full(nu, barred=True),
         pair_exchange_operator(nu),
     ]
     for occ in ((0, 0, 0, 0), (2, 1, 0, 3), (1, 2, 2, 1), (4, 0, 1, 0)):
-        m = FockState({occ: (1, 0)})
+        m = FockState({occ: 1})
         for a in ops:
             for b in ops:
                 out = {}
@@ -707,7 +766,7 @@ def test_product_on_equals_composed_apply():
 
 def _wrong_quasispin_zero(nu):
     """Q0 without its nu/4 shift: [Q+, Q-] = -2 Q0 no longer holds."""
-    return BosonOperator([(1, 0, ((j, 1),), ((j, 1),)) for j in range(1, nu + 1)], den=2)
+    return BosonOperator([(1, ((j, 1),), ((j, 1),)) for j in range(1, nu + 1)], den=2)
 
 
 def _wrong_quasispin_plus(nu):
@@ -812,15 +871,15 @@ def test_every_oracle_state_is_pinned(cold_caches):
 
 
 def test_cached_states_share_each_key_and_pair(cold_caches):
-    # equal keys and equal Gaussian pairs of the cached states are one object each;
+    # equal keys and equal ints of the cached states are one object each;
     # the sharing changes no value, so a state rebuilt cold compares and hashes alike
     def build(label):
         return (build_chain1_state if label[0] == "I" else build_chain2_state)(*label[1:]).state
 
     states = {label: build(label) for label in _state_digest_labels()}
     keys = [occ for psi in states.values() for occ in psi.orbits]
-    pairs = [c for psi in states.values() for c in psi.orbits.values()]
-    for values in (keys, pairs):
+    ints = [c for psi in states.values() for c in psi.orbits.values()]
+    for values in (keys, ints):
         assert len({id(v) for v in values}) == len(set(values)) < len(values)
     clear_caches()
     assert not fockoracle._SHARED
@@ -882,22 +941,20 @@ def test_oracle_bracket_equals_the_fraction_reference():
     assert zeros > 0
 
 
-def test_integer_dot_carries_the_scales_and_rejects_imaginary_overlaps():
-    a = FockState({(0, 2, 0): (9, -6), (1, 0, 1): (0, 2)}, rational(1, 6))
-    b = FockState({(0, 2, 0): (-2, 5), (1, 0, 1): (4, 0), (0, 0, 2): (7, 0)})
+def test_integer_dot_carries_the_scales():
+    a = FockState({(0, 2, 0): 9, (1, 0, 1): 2}, rational(1, 6))
+    b = FockState({(0, 2, 0): -2, (1, 0, 1): 4, (0, 0, 2): 7})
     for bra, ket in ((a, b), (b, a), (a, a)):
-        re, im = _dot(bra, ket)
+        dot = _dot(bra, ket)
         scale = bra.scale * ket.scale
-        assert inner(bra, ket) == gr(re * scale, im * scale)
-    # a multiple of b overlaps b in a real number, whatever b's complex coefficients;
+        assert inner(bra, ket) == gr(dot * scale)
+    # a multiple of b keeps b's integers and carries the factor in its scale;
     # the dot taken with a cold weight memo equals the dot taken again with a warm one
     scaled_b = b.times(rational(-5, 3))
     clear_caches()
-    re, im = _dot(scaled_b, b)
+    dot = _dot(scaled_b, b)
     assert fockoracle._WEIGHT
-    assert im == 0 and _real_dot(scaled_b, b) == _dot(scaled_b, b)[0] == re
-    with pytest.raises(KernelError, match="imaginary part"):
-        _real_dot(a, b)
+    assert _dot(scaled_b, b) == dot == 4 * 2 + 16 + 49 * 2
 
 
 def test_states_of_different_nu_have_no_inner_product():
@@ -911,7 +968,7 @@ def test_states_of_different_nu_have_no_inner_product():
             with pytest.raises(LabelError, match=match):
                 inner(bra, ket)
             with pytest.raises(LabelError, match=match):
-                _real_dot(bra, ket)
+                _dot(bra, ket)
     # the zero state has no dimension and overlaps every state in 0
     assert inner(FockState({}), seed_state(4, 1)) == inner(seed_state(3, 1), FockState({})) == gr(0)
 
@@ -939,7 +996,7 @@ def test_apply_refuses_an_operator_beyond_the_state_modes():
     cases = (
         (pair_creation_b(5), seed_state(3, 1), "nu >= 5, the state has nu=3"),
         (number_operator(3), seed_state(2, 0), "nu >= 3, the state has nu=2"),
-        (so_generator(6, 1, 6), build_chain1_state(4, 2, 2, 0).state, "nu >= 6, the state has nu=4"),
+        (_generator(1, 6, False)[0], build_chain1_state(4, 2, 2, 0).state, "nu >= 6, the state has nu=4"),
     )
     for op, psi, match in cases:
         with pytest.raises(LabelError, match=match):
@@ -973,21 +1030,10 @@ def test_clear_caches_collects_every_cached_function_at_import(monkeypatch):
     assert _rotations.cache_info().currsize == 0
 
 
-def test_oracle_bracket_rejects_a_complex_overlap(monkeypatch):
-    nu, N, n, sigma, tau = 2, 2, 0, 0, 0
-    assert oracle_bracket(nu, N, n, sigma, tau)[0] != 0
-    two = build_chain2_state(nu, N, sigma, tau)
-    # (1 + i) times the state: same norm up to the factor 2, complex overlap
-    rotated = NormalizedState(_scaled(two.state, (1, 1)), two.norm_sq * 2)
-    monkeypatch.setattr(fockoracle, "build_chain2_state", lambda *args, **kwargs: rotated)
-    with pytest.raises(KernelError, match="imaginary part"):
-        oracle_bracket(nu, N, n, sigma, tau)
-
-
 def test_real_norm_sq_equals_the_inner_product():
     psi = build_chain2_state(3, 5, 3, 1, Convention.BARRED).state
-    complex_ = FockState({(0, 1, 0, 0): (14, -15), (2, 0, 0, 1): (0, 63)}, rational(1, 21))
-    cases = (psi, psi.times(-1), psi.times(rational(7, 4)), complex_, complex_.times(-3))
+    other = FockState({(0, 1, 0, 0): 14, (0, 0, 1, 0): -15, (2, 0, 0, 1): 63}, rational(1, 21))
+    cases = (psi, psi.times(-1), psi.times(rational(7, 4)), other, other.times(-3))
     assert all(state.scale != 1 for state in cases)
     assert any(state.scale < 0 for state in cases)
     for state in cases:

@@ -18,13 +18,13 @@ from chainbrackets.fockoracle import (
     CasimirGroup,
     FockState,
     SymmetryError,
+    _generator,
     apply,
     b_number_operator,
     build_chain1_state,
     build_chain2_state,
     casimir_apply,
     creation_power,
-    d_generator,
     inner,
     number_operator,
     oracle_bracket,
@@ -34,7 +34,6 @@ from chainbrackets.fockoracle import (
     pair_exchange_operator,
     quasispin_zero,
     seed_state,
-    so_generator,
 )
 from chainbrackets.labels import bracket_index_set
 from chainbrackets.transform import OperatorSpec, boson_operator, deformed_matrix_oracle
@@ -96,8 +95,7 @@ def test_every_overlap_equals_the_full_space_reference(reference):
             for sigma in sigmas:
                 for conv in Convention:
                     terms2, s2 = chain2[N, sigma, t, conv is Convention.BARRED]
-                    dot, im = fullspace.dot(bra, terms2)
-                    assert im == 0
+                    dot = fullspace.dot(bra, terms2)
                     expected = _signed_square(
                         dot, s1, s2, fullspace.norm_sq(terms1, s1), fullspace.norm_sq(terms2, s2)
                     )
@@ -121,8 +119,7 @@ def test_every_deformed_oracle_block_equals_the_full_space_reference(reference):
                     bra = fullspace.weighted(terms_i)
                     row = []
                     for (ket, s_j), norm_j in zip(kets, norms):
-                        dot, im = fullspace.dot(bra, ket)
-                        assert im == 0
+                        dot = fullspace.dot(bra, ket)
                         sign, square = _signed_square(dot, s_i, s_j, norm_i, norm_j)
                         row.append(SurdValue(sign, square) if sign else SurdValue.zero())
                     expected.append(tuple(row))
@@ -166,9 +163,9 @@ def test_invariant_operators_on_chain_states_equal_the_full_space_reference(refe
 
 def test_orbits_store_one_representative_per_orbit_with_its_multiplicity():
     # (s^dag)(b_3^dag + b_4^dag + b_5^dag)|0> at nu = 5: one orbit of three monomials
-    terms = {(1, 0, 0, 1, 0, 0): (2, 0), (1, 0, 0, 0, 1, 0): (2, 0), (1, 0, 0, 0, 0, 1): (2, 0)}
+    terms = {(1, 0, 0, 1, 0, 0): 2, (1, 0, 0, 0, 1, 0): 2, (1, 0, 0, 0, 0, 1): 2}
     psi = FockState(terms, rational(1, 2))
-    assert psi.orbits == {(1, 0, 0, 1, 0, 0): (6, 0)}
+    assert psi.orbits == {(1, 0, 0, 1, 0, 0): 6}
     assert psi.terms == terms and len(psi.terms) == 3
     # <psi|psi> = 3 monomials of weight 1, each with |c|^2 = 1
     assert inner(psi, psi).re == 3
@@ -180,24 +177,29 @@ def test_orbits_store_one_representative_per_orbit_with_its_multiplicity():
 
 def test_a_state_must_be_symmetric_in_modes_3_to_nu():
     with pytest.raises(SymmetryError):
-        FockState({(0, 0, 0, 1, 0): (1, 0)})  # b_3^dag alone at nu = 4
+        FockState({(0, 0, 0, 1, 0): 1})  # b_3^dag alone at nu = 4
     with pytest.raises(SymmetryError):
-        FockState({(0, 0, 0, 1, 0): (1, 0), (0, 0, 0, 0, 1): (2, 0)})  # unequal coefficients
+        FockState({(0, 0, 0, 1, 0): 1, (0, 0, 0, 0, 1): 2})  # unequal coefficients
     with pytest.raises(SymmetryError):
         # every monomial of the orbit present, but a pair of them cancels in the fold
-        FockState({(0, 0, 0, 1, 0): (1, 0), (0, 0, 0, 0, 1): (-1, 0)})
-    assert FockState({(0, 0, 0, 1, 0): (1, 0), (0, 0, 0, 0, 1): (1, 0)}).orbits == {(0, 0, 0, 1, 0): (2, 0)}
+        FockState({(0, 0, 0, 1, 0): 1, (0, 0, 0, 0, 1): -1})
+    assert FockState({(0, 0, 0, 1, 0): 1, (0, 0, 0, 0, 1): 1}).orbits == {(0, 0, 0, 1, 0): 2}
     # at nu <= 3 every monomial is its own orbit
-    assert FockState({(0, 0, 1, 2): (1, 0)}).orbits == {(0, 0, 1, 2): (1, 0)}
+    assert FockState({(0, 0, 1, 2): 1}).orbits == {(0, 0, 1, 2): 1}
+
+
+def _g(j, k, hermitian=False):
+    """The real operator g of the generator of the modes j < k (see fockoracle._generator)."""
+    return _generator(j, k, hermitian)[0]
 
 
 def test_apply_refuses_an_operator_that_is_not_invariant():
     psi = build_chain2_state(5, 4, 2, 1).state
     for op in (
-        so_generator(5, 1, 3),
-        so_generator(5, 3, 4),
-        d_generator(5, 3),
-        d_generator(5, 5, barred=True),
+        _g(1, 3),
+        _g(3, 4),
+        _g(0, 3),
+        _g(0, 5, hermitian=True),
         creation_power(3, 1),
         pair_creation_b(4),  # built for nu = 4: mode 5 is missing
         number_operator(4),
@@ -205,7 +207,7 @@ def test_apply_refuses_an_operator_that_is_not_invariant():
         with pytest.raises(SymmetryError):
             apply(op, psi)
     # invariant operators, including ones that touch only modes 0..2
-    for op in (so_generator(5, 1, 2), d_generator(5, 1), creation_power(0, 2), quasispin_zero(5), number_operator(5)):
+    for op in (_g(1, 2), _g(0, 1), creation_power(0, 2), quasispin_zero(5), number_operator(5)):
         apply(op, psi)
     # at nu <= 3 the permutation group is trivial and every operator applies
-    assert not apply(so_generator(3, 1, 3), seed_state(3, 2)).is_zero
+    assert not apply(_g(1, 3), seed_state(3, 2)).is_zero

@@ -11,7 +11,6 @@ from chainbrackets.brackets import Convention, table
 from chainbrackets.exactnum import GaussianRational, SurdSumError, SurdValue, rational
 from chainbrackets.fockoracle import (
     FockState,
-    KernelError,
     NormalizedState,
     apply,
     build_chain1_state,
@@ -243,9 +242,9 @@ def test_oracle_route_matches_an_inner_reference():
         assert deformed_matrix_oracle(*block).entries == _inner_reference(*block), block
 
 
-def test_overlap_squares_scale_and_reject_an_imaginary_overlap():
-    bra = FockState({(0, 2, 0): (1, 0)})
-    ket = FockState({(0, 2, 0): (5, 0)}, rational(1, 3))
+def test_overlap_squares_carry_the_scales():
+    bra = FockState({(0, 2, 0): 1})
+    ket = FockState({(0, 2, 0): 5}, rational(1, 3))
     # <bra|ket> = 2! * 5/3 with ket.scale = 1/3; unit norms leave the squared overlap itself
     raw = [NormalizedState(bra, 1), NormalizedState(ket, 1), NormalizedState(ket.times(-1), 1)]
     assert overlap_squares(raw[:1], raw) == [[(1, 4), (1, rational(100, 9)), (-1, rational(100, 9))]]
@@ -256,14 +255,12 @@ def test_overlap_squares_scale_and_reject_an_imaginary_overlap():
     # each state's unit, sign(scale) and scale**2 / norm_sq as (num, den), is computed once and kept
     assert [st.unit for st in raw + unit] == [(1, 1, 1), (1, 1, 9), (-1, 1, 9), (1, 1, 2), (1, 9, 450)]
     assert all(st.unit is st.unit for st in raw + unit)
-    # complex coefficients with a real overlap: <(1+i)m|(1+i)m> = 2 * 2!
-    complex_ = NormalizedState(FockState({(0, 2, 0): (1, 1)}), 1)
-    assert overlap_squares([complex_], [complex_]) == [[(1, 16)]]
-    # <i m|(3/2) m> = -i * 2! * 3/2, so the imaginary part is -3
-    imaginary = NormalizedState(FockState({(0, 2, 0): (0, 1)}), 1)
-    half = NormalizedState(FockState({(0, 2, 0): (3, 0)}, rational(1, 2)), 1)
-    with pytest.raises(KernelError, match="imaginary part -3$"):
-        overlap_squares([imaginary], [half])
+    # a Cartesian coefficient 2i, on b_1^dag beta_2^dag = i b_1^dag b_2^dag: <2i m|2i m> = 4 * 1! 1!
+    imaginary = NormalizedState(FockState({(0, 1, 1): 2}), 1)
+    assert overlap_squares([imaginary], [imaginary]) == [[(1, 16)]]
+    # <m|(3/2) m> = 2! * 3/2 = 3
+    half = NormalizedState(FockState({(0, 2, 0): 3}, rational(1, 2)), 1)
+    assert overlap_squares(raw[:1], [half]) == [[(1, 9)]]
 
 
 def test_pairing_operator_is_cached_per_nu():
