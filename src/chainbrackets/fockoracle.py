@@ -7,39 +7,40 @@ only exactnum and labels, so overlaps of these states are the ground truth
 against which every closed form is certified.
 
 All arithmetic is exact and runs on Python ints; no floating point anywhere.
-Mode 2 is beta_2 = -i b_2: the unitary change of basis |occ> -> i^occ_2 |occ>,
-which keeps every monomial and its norm prod occ_j!.  In it the seed
-(b_1^dag + i b_2^dag)^tau is (b_1^dag + beta_2^dag)^tau, and every operator
-here has integer coefficients (b_2^dag^2 = -beta_2^dag^2, b_2^2 = -beta_2^2).
-So states and operators are ints under one rational factor for the whole
-value, `FockState` and `BosonOperator(terms, den)`, and only `state_to_json`
-turns an int c back into b_2's complex coefficient c i^occ_2.  `apply` and
-the overlaps multiply integers and touch the scale once per call; the only
-GaussianRational here is the real value `inner` returns.  The intrinsic
-deformed states come from fraction-free (Bareiss) elimination over the
-integers.  The two state builders are the ladders: each state is cached
-once, in its builder, and is one `apply` from the cached state below it.
-The cached states share their keys and ints: each distinct value is one
-object, the first one cached.  Each overlap is one weighted integer dot, and
-one rule (`_signed_square`) turns it into the (sign, square) pair that both
-`oracle_bracket` and `overlap_squares` return.  No other module reads a
-state's integers or scale.  A memo that outlives its object is a pure
-constructor under lru_cache or a module dict (_SHARED, _WEIGHT, _SIZE,
-_ROWS), and `clear_caches` empties them all.
+Modes 1 and 2 are b_+- = (b_1 +- i b_2)/sqrt(2).  Every state is built from
+the seed b_+^dag^tau with SO(nu) scalars only, so each of its monomials has
+n_+ - n_- = tau, and every operator here has integer coefficients (the
+b-space pair is 2 b_+^dag b_-^dag + sum_{j>=3} b_j^dag^2).  So states and
+operators are ints under one rational factor for the whole value,
+`FockState` and `BosonOperator(terms, den)`; `FockState.view` and the
+factors 2^tau of the norms turn them back into Cartesian values (see
+FockState).  `apply` and the overlaps multiply integers and touch the scale
+once per call; the only GaussianRational here is the real value `inner`
+returns.  The intrinsic deformed states come from fraction-free (Bareiss)
+elimination over the integers.  The two state builders are the ladders:
+each state is cached once, in its builder, and is one `apply` from the
+cached state below it.  The cached states share their keys and ints: each
+distinct value is one object, the first one cached.  Each overlap is one
+weighted integer dot, and one rule (`_signed_square`) turns it into the
+(sign, square) pair that both `oracle_bracket` and `overlap_squares`
+return.  No other module reads a state's integers or scale.  A memo that
+outlives its object is a pure constructor under lru_cache or a module dict
+(_SHARED, _WEIGHT, _SIZE, _ROWS), and `clear_caches` empties them all.
 
-Every state is built from the seed with SO(nu) scalars only, so it is
-symmetric under permutations of the modes b_3..b_nu.  A FockState therefore
-stores one monomial per permutation orbit (the representative, whose occ[3:]
-is non-increasing) with d = c * |orbit|.  `apply` pushes each representative
-through an operator that commutes with those permutations and sums the
-output monomials into their representatives (the fold); the Casimir rows are
-folded the same way.  An overlap is sum d d' prod occ_j! prod_v m_v! /
-(nu - 2)! over the representatives, with m_v the multiplicities of the
-values in occ[3:]; the division is exact.  The weight prod occ_j! prod_v m_v! is memoized per key
-and |orbit| per occ[3:], one int each.  At nu <= 3 every orbit is one
-monomial and nothing is folded.  The full-space monomials exist only as the
-derived view `FockState.terms`; `su11_commutator_check` composes operators
-on single full-space monomials with `_product_on`.
+The SO(nu) scalars also make every state symmetric under permutations of
+the modes b_3..b_nu.  A FockState therefore stores one monomial per
+permutation orbit (the representative, whose occ[3:] is non-increasing)
+with d = c * |orbit|.  `apply` pushes each representative through an
+operator that commutes with those permutations and sums the output
+monomials into their representatives (the fold); the Casimir rows are folded
+the same way.  An overlap is sum d d' prod occ_j! prod_v m_v! / (nu - 2)!
+over the representatives, with m_v the multiplicities of the values in
+occ[3:]; the division is exact.  The weight prod occ_j! prod_v m_v! is
+memoized per key and |orbit| per occ[3:], one int each.  At nu <= 3 every
+orbit is one monomial and nothing is folded.  The full-space monomials exist
+only as the derived views `FockState.pm_terms` and `FockState.view`;
+`su11_commutator_check` composes operators on single full-space monomials
+with `_product_on`.
 """
 
 from __future__ import annotations
@@ -147,22 +148,35 @@ def _fold(terms: dict) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
+def _expansion(a: int, c: int) -> tuple[int, ...]:
+    """The coefficient of x^(a+c-j) y^j in (x + y)^a (x - y)^c, for j = 0..a+c."""
+    return tuple(
+        sum(math.comb(a, j - q) * math.comb(c, q) * (-1) ** q for q in range(max(0, j - a), min(j, c) + 1))
+        for j in range(a + c + 1)
+    )
+
+
 class FockState:
     """Finite linear combination of occupation monomials with exact coefficients.
 
-    Keys are (nu+1)-tuples of occupation numbers, mode 0 being the scalar
-    boson and mode 2 beta_2 = -i b_2.  Monomials are unnormalized products of
-    creation operators on the vacuum, so <occ|occ> = prod occ_j!.  The
-    coefficient of occ is c * scale: an int under one rational scale, as a
-    BosonOperator is ints over one denominator.  In the Cartesian basis of
-    b_1..b_nu that coefficient is c * scale * i^occ_2 (see state_to_json).
+    Keys are (nu+1)-tuples of occupation numbers of s, b_+, b_-, b_3..b_nu.
+    Monomials are unnormalized products of creation operators on the vacuum,
+    so <occ|occ> = prod occ_j!.  The coefficient of occ is c * scale: an int
+    under one rational scale, as a BosonOperator is ints over one
+    denominator.  The state stands for a Cartesian one with rational
+    coefficients: b_+^dag acts as b_1^dag + i b_2^dag and b_-^dag as
+    (b_1^dag - i b_2^dag)/2, so a monomial of helicity L = n_+ - n_- stands
+    for 2^(L/2) times its image.  `view` gives that state, `inner` its inner
+    product.
 
     A state is symmetric under permutations of the modes 3..nu, and is
     stored by orbit: `orbits` maps each orbit's representative (occ[3:]
     non-increasing) to d = c * |orbit|, a nonzero int divisible by |orbit|.
-    `terms` is the derived full-space view {occ: c}, one int per monomial.
+    `pm_terms` is the derived full-space view {occ: c}, one int per monomial.
     The constructor takes such full-space terms.  It raises LabelError
-    unless every key has one length nu + 1 >= 3 and no negative entry, drops
+    unless every key has one length nu + 1 >= 3 and no negative entry, every
+    coefficient is an int and the scale an int or a Fraction; it drops
     zeros, and raises SymmetryError unless the terms are symmetric.
     Instances are treated as immutable and may share their dict; the cached
     states also share their keys and ints, one object per distinct value.
@@ -174,11 +188,13 @@ class FockState:
         lengths = {len(occ) for occ in terms}
         if len(lengths) > 1 or min(lengths, default=3) < 3 or any(min(occ) < 0 for occ in terms):
             raise LabelError("the keys must be occupation tuples of one length nu + 1 >= 3, none negative")
+        if not all(isinstance(c, int) for c in terms.values()) or not isinstance(scale, (int, rational)):
+            raise LabelError("the coefficients must be ints and the scale an int or a Fraction")
         terms = _nonzero(terms)
         self.orbits = _fold(terms)
         self.scale = scale
         # the folded orbits give back exactly the terms they came from iff those are symmetric
-        if self.terms != terms:
+        if self.pm_terms != terms:
             raise SymmetryError("the terms are not symmetric under permutations of the modes 3..nu")
 
     @classmethod
@@ -190,8 +206,8 @@ class FockState:
         return psi
 
     @property
-    def terms(self) -> dict:
-        """Full-space view {occ: c}: every monomial's int, under the same scale."""
+    def pm_terms(self) -> dict:
+        """Full-space view {occ: c} in the b_+, b_- modes: every monomial's int, under the same scale."""
         out = {}
         for rep, d in self.orbits.items():
             c = d // _orbit_size(rep[3:])
@@ -199,6 +215,27 @@ class FockState:
             for tail in _arrangements(rep[3:]):
                 out[head + tail] = c
         return out
+
+    def view(self) -> tuple[dict, object]:
+        """(terms, scale): the Cartesian state with mode 2 beta_2 = -i b_2 (see state_to_json), ints under one scale.
+
+        s^p b_+^a b_-^c x tail with int k stands for k 2^-c (b_1^dag + beta_2^dag)^a
+        (b_1^dag - beta_2^dag)^c x tail: the ints carry 2^(m - c) and the scale
+        is scale / 2^m, m the largest n_-.
+        """
+        m = max((occ[2] for occ in self.orbits), default=0)
+        out: dict = {}
+        for (p, a, c, *tail), k in self.pm_terms.items():
+            for j, e in enumerate(_expansion(a, c)):
+                if e:
+                    key = (p, a + c - j, j, *tail)
+                    out[key] = out.get(key, 0) + (k << m - c) * e
+        return _nonzero(out), rational(self.scale, 1 << m) if m else self.scale
+
+    @property
+    def terms(self) -> dict:
+        """The ints of view(), one per beta_2-basis monomial, under view()[1]."""
+        return self.view()[0]
 
     @property
     def is_zero(self) -> bool:
@@ -251,7 +288,7 @@ class BosonOperator:
 
     Built from terms (c, cre, ann) and the positive integer den: the term acts
     as c / den * prod b_dag^cre * prod b^ann, with c an int and cre/ann
-    sparse tuples of (mode, power) pairs; mode 2 is beta_2, as in FockState.
+    sparse tuples of (mode, power) pairs; modes 1 and 2 are b_+ and b_-, as in FockState.
     `terms` holds, per nonzero term, (c, ann, moves): the int, the
     annihilated (mode, power) pairs and the net (mode, shift) of occupation
     numbers, sorted by mode.  Products of operators are evaluated by composing their
@@ -421,9 +458,24 @@ def _dot(psi: FockState, phi: FockState) -> int:
     return total
 
 
+def _helicity(psi: FockState) -> int:
+    """n_+ - n_- of every monomial of psi, the tau of a built state; 0 for zero.  A mix raises LabelError."""
+    found = {occ[1] - occ[2] for occ in psi.orbits}
+    if len(found) > 1:
+        raise LabelError("the state mixes helicities n_+ - n_-; a norm or a unit needs one")
+    return found.pop() if found else 0
+
+
 def inner(psi: FockState, phi: FockState) -> GaussianRational:
-    """Boson Fock inner product <psi|phi> with the monomial weights prod occ_j!; its im is 0."""
-    return GaussianRational(_dot(psi, phi) * psi.scale * phi.scale, rational(0))
+    """<psi|phi> of the Cartesian states psi and phi stand for (see FockState); its im is 0.
+
+    Each helicity L's integer dot counts 2^L times.
+    """
+    parts: dict = {}
+    for occ, x in psi.orbits.items():
+        parts.setdefault(occ[1] - occ[2], {})[occ] = x
+    total = sum(rational(2) ** L * _dot(FockState._of(part, 1), phi) for L, part in parts.items())
+    return GaussianRational(total * psi.scale * phi.scale, rational(0))
 
 
 # ---------------------------------------------------------------------------
@@ -431,26 +483,26 @@ def inner(psi: FockState, phi: FockState) -> GaussianRational:
 # ---------------------------------------------------------------------------
 
 
-def _flip(j: int) -> int:
-    """The sign of b_j^dag^2 and b_j^2 in the beta_2 basis: -1 for mode 2 (b_2^dag^2 = -beta_2^dag^2), else 1."""
-    return -1 if j == 2 else 1
+def _pair(nu: int) -> list[tuple[int, tuple]]:
+    """(c, (mode, power) pairs) of the b-space pair 2 b_+ b_- + sum_{j>=3} b_j^2, creators or annihilators alike."""
+    return [(2, ((1, 1), (2, 1)))] + [(1, ((j, 2),)) for j in range(3, nu + 1)]
 
 
 @lru_cache(maxsize=None)
 def creation_power(mode: int, power: int) -> BosonOperator:
-    """b_mode^dag^power; mode 2 is beta_2, so creation_power(2, p) = i^p b_2^dag^p."""
+    """b_mode^dag^power; modes 1 and 2 are b_+ and b_-."""
     return BosonOperator([(1, ((mode, power),), ())])
 
 
 @lru_cache(maxsize=None)
 def pair_creation_b(nu: int) -> BosonOperator:
-    """Sum of squared creation operators over the nu non-scalar modes."""
-    return BosonOperator([(_flip(j), ((j, 2),), ()) for j in range(1, nu + 1)])
+    """Sum of squared creation operators over the nu non-scalar modes: 2 b_+^dag b_-^dag + sum_{j>=3} b_j^dag^2."""
+    return BosonOperator([(c, pw, ()) for c, pw in _pair(nu)])
 
 
 @lru_cache(maxsize=None)
 def pair_annihilation_b(nu: int) -> BosonOperator:
-    return BosonOperator([(_flip(j), (), ((j, 2),)) for j in range(1, nu + 1)])
+    return BosonOperator([(c, (), pw) for c, pw in _pair(nu)])
 
 
 @lru_cache(maxsize=None)
@@ -458,7 +510,7 @@ def pair_creation_full(nu: int, barred: bool = False) -> BosonOperator:
     """Scalar-squared plus (standard) or minus (barred) the b-space pair creator."""
     sign = -1 if barred else 1
     terms = [(1, ((0, 2),), ())]
-    terms += [(sign * _flip(j), ((j, 2),), ()) for j in range(1, nu + 1)]
+    terms += [(sign * c, pw, ()) for c, pw in _pair(nu)]
     return BosonOperator(terms)
 
 
@@ -466,7 +518,7 @@ def pair_creation_full(nu: int, barred: bool = False) -> BosonOperator:
 def pair_annihilation_full(nu: int, barred: bool = False) -> BosonOperator:
     sign = -1 if barred else 1
     terms = [(1, (), ((0, 2),))]
-    terms += [(sign * _flip(j), (), ((j, 2),)) for j in range(1, nu + 1)]
+    terms += [(sign * c, (), pw) for c, pw in _pair(nu)]
     return BosonOperator(terms)
 
 
@@ -488,32 +540,21 @@ def s_number_operator(nu: int) -> BosonOperator:
 @lru_cache(maxsize=None)
 def pair_exchange_operator(nu: int) -> BosonOperator:
     """(1/2) sum_j (b_j^dag^2 s^2 + s^dag^2 b_j^2): moves one boson pair between s and the b space."""
-    up = [(_flip(j), ((j, 2),), ((0, 2),)) for j in range(1, nu + 1)]
-    down = [(_flip(j), ((0, 2),), ((j, 2),)) for j in range(1, nu + 1)]
+    up = [(c, pw, ((0, 2),)) for c, pw in _pair(nu)]
+    down = [(c, ((0, 2),), pw) for c, pw in _pair(nu)]
     return BosonOperator(up + down, den=2)
-
-
-def _generator(j: int, k: int, hermitian: bool) -> tuple[BosonOperator, int]:
-    """(g, sign) for the generator G of the modes j < k, with G**2 = sign * g**2.
-
-    G is b_j^dag b_k + b_k^dag b_j if hermitian, else i(b_j^dag b_k - b_k^dag b_j).
-    g = b_j^dag b_k + sign b_k^dag b_j is real in the beta_2 basis, and G is
-    g or +-i g: sign = +1 exactly when hermitian != (2 in (j, k)).
-    """
-    sign = 1 if hermitian != (2 in (j, k)) else -1
-    return BosonOperator([(1, ((j, 1),), ((k, 1),)), (sign, ((k, 1),), ((j, 1),))]), sign
 
 
 @lru_cache(maxsize=None)
 def quasispin_plus(nu: int) -> BosonOperator:
     """Q+ = (1/2) sum_j b_j^dag^2."""
-    return BosonOperator([(_flip(j), ((j, 2),), ()) for j in range(1, nu + 1)], den=2)
+    return BosonOperator([(c, pw, ()) for c, pw in _pair(nu)], den=2)
 
 
 @lru_cache(maxsize=None)
 def quasispin_minus(nu: int) -> BosonOperator:
     """Q- = (1/2) sum_j b_j^2."""
-    return BosonOperator([(_flip(j), (), ((j, 2),)) for j in range(1, nu + 1)], den=2)
+    return BosonOperator([(c, (), pw) for c, pw in _pair(nu)], den=2)
 
 
 @lru_cache(maxsize=None)
@@ -529,18 +570,17 @@ def quasispin_zero(nu: int) -> BosonOperator:
 
 
 def seed_state(nu: int, tau: int) -> FockState:
-    """(b_1^dag + i b_2^dag)^tau = (b_1^dag + beta_2^dag)^tau on the vacuum: the common seniority-tau seed.
+    """b_+^dag^tau on the vacuum: the common seniority-tau seed, the Cartesian (b_1^dag + i b_2^dag)^tau.
 
-    Annihilated by the b-space pair annihilator for every nu >= 2 because the
-    direction vector (1, i, 0, ...) is null under the sum of squares.  Its
-    coefficients are the binomials C(tau, j).
+    Annihilated by the b-space pair annihilator 2 b_+ b_- + sum_{j>=3} b_j^2
+    for every nu >= 2, because the direction vector (1, i, 0, ...) is null
+    under the sum of squares.  Its one coefficient is 1.
     """
     check_dimension(nu)
     if tau < 0:
         raise LabelError(f"tau={tau} must be nonnegative")
-    terms = {(0, tau - j, j) + (0,) * (nu - 2): math.comb(tau, j) for j in range(tau + 1)}
-    # modes 3..nu are empty: every monomial is its own orbit
-    return FockState._of(terms, _ONE)
+    # modes 3..nu are empty: the monomial is its own orbit
+    return FockState._of({(0, tau) + (0,) * (nu - 1): 1}, _ONE)
 
 
 @dataclass(frozen=True)
@@ -548,9 +588,10 @@ class NormalizedState:
     """state / sqrt(norm_sq): an exactly unit-norm state in factored form.
 
     The raw FockState keeps exact integer coefficients under a rational
-    scale (with the ladder phase already folded in); its exact
-    squared norm is carried alongside so the pair has squared norm 1 without
-    ever forming an irrational number.
+    scale (with the ladder phase already folded in); its exact Cartesian
+    squared norm, 2^tau times its integer dot (see FockState), is carried
+    alongside so the pair has squared norm 1 without ever forming an
+    irrational number.
     """
 
     state: FockState
@@ -561,26 +602,29 @@ class NormalizedState:
 
     @cached_property
     def unit(self) -> tuple[int, int, int]:
-        """sign(scale) and the integers num, den with scale**2 / norm_sq = num / den; computed once."""
+        """sign(scale) and the ints num, den with 2^L scale**2 / norm_sq = num / den, L the helicity; computed once."""
         a, b = self.state.scale.numerator, self.state.scale.denominator
-        return (1 if a > 0 else -1), a * a * self.norm_sq.denominator, b * b * self.norm_sq.numerator
+        L = _helicity(self.state)
+        num, den = a * a * self.norm_sq.denominator << max(L, 0), b * b * self.norm_sq.numerator << max(-L, 0)
+        return (1 if a > 0 else -1), num, den
 
 
 def _real_norm_sq(psi: FockState):
-    """<psi|psi> as one rational built from the integer dot."""
+    """The Cartesian <psi|psi> of a state of one helicity L: 2^L times the integer dot, as one rational."""
     nsq = _dot(psi, psi)
     if nsq <= 0:
         raise KernelError("state unexpectedly has nonpositive norm")
-    return rational(nsq * psi.scale.numerator**2, psi.scale.denominator**2)
+    L = _helicity(psi)
+    return rational(nsq * psi.scale.numerator**2 << max(L, 0), psi.scale.denominator**2 << max(-L, 0))
 
 
 def _signed_square(dot: int, unit1: tuple, unit2: tuple) -> tuple:
     """(sign, square) of <1|2> / sqrt(<1|1> <2|2>), given the NormalizedState.unit of each.
 
-    dot is the integer part of the raw overlap, <1|2> = dot * s1 * s2 with
-    s1, s2 the states' scales, so the square is
-    dot**2 * (s1**2 / norm_1) * (s2**2 / norm_2), one rational from integer
-    products.
+    dot is the integer dot of two states of one helicity L, whose Cartesian
+    overlap is <1|2> = 2^L dot s1 s2 with s1, s2 the states' scales, so the
+    square is dot**2 (2^L s1**2 / norm_1) (2^L s2**2 / norm_2), one rational
+    from integer products.
     """
     if not dot:
         return 0, rational(0)
@@ -795,19 +839,47 @@ def oracle_bracket(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _rotations(nu: int) -> tuple[tuple[BosonOperator, int], ...]:
-    """(g, sign) of the SO(nu) generators i(b_j^dag b_k - b_k^dag b_j), 1 <= j < k <= nu."""
-    return tuple(_generator(j, k, False) for j in range(1, nu + 1) for k in range(j + 1, nu + 1))
+def _bilinear(*terms) -> BosonOperator:
+    """sum c b_j^dag b_k over the given (c, j, k)."""
+    return BosonOperator([(c, ((j, 1),), ((k, 1),)) for c, j, k in terms])
+
+
+def _raising(k: int) -> tuple[BosonOperator, BosonOperator]:
+    """X_k = b_+^dag b_k - b_k^dag b_- and Y_k = b_-^dag b_k - b_k^dag b_+; mode 0 is s."""
+    return _bilinear((1, 1, k), (-1, k, 2)), _bilinear((1, 2, k), (-1, k, 1))
 
 
 @lru_cache(maxsize=None)
-def _mixings(nu: int, barred: bool) -> tuple[tuple[BosonOperator, int], ...]:
-    """(g, sign) of the mixings that SO(nu+1) adds to the rotations, 1 <= j <= nu.
+def _rotations(nu: int) -> tuple[tuple[BosonOperator, BosonOperator, int], ...]:
+    """(a, b, sign) with sum sign a b = C_SO(nu), the sum of the squared i(b_j^dag b_k - b_k^dag b_j).
 
-    Standard: i(s^dag b_j - b_j^dag s); barred: s^dag b_j + b_j^dag s.
+    C_SO(nu) = (n_+ - n_-)**2 - sum_{k>=3} (X_k Y_k + Y_k X_k) - sum_{3<=j<k} E_jk**2,
+    E_jk = b_j^dag b_k - b_k^dag b_j; the first factors a span the complexified so(nu).
     """
-    return tuple(_generator(0, j, barred) for j in range(1, nu + 1))
+    h = _bilinear((1, 1, 1), (-1, 2, 2))
+    out = [(h, h, 1)]
+    for k in range(3, nu + 1):
+        x, y = _raising(k)
+        out += [(x, y, -1), (y, x, -1)]
+    for j in range(3, nu + 1):
+        for k in range(j + 1, nu + 1):
+            e = _bilinear((1, j, k), (-1, k, j))
+            out.append((e, e, -1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _mixings(nu: int, barred: bool) -> tuple[tuple[BosonOperator, BosonOperator, int], ...]:
+    """(a, b, sign) of what SO(nu+1) adds to C_SO(nu): the squared mixings, 1 <= j <= nu.
+
+    Standard, i(s^dag b_j - b_j^dag s): -(X_0 Y_0 + Y_0 X_0) - sum_{k>=3} E_0k**2.
+    Barred, s^dag b_j + b_j^dag s: A B + B A + sum_{k>=3} D_k**2, with
+    A = s^dag b_- + b_+^dag s, B = s^dag b_+ + b_-^dag s, D_k = s^dag b_k + b_k^dag s.
+    """
+    sign = 1 if barred else -1
+    a, b = (_bilinear((1, 0, 2), (1, 1, 0)), _bilinear((1, 0, 1), (1, 2, 0))) if barred else _raising(0)
+    squares = [_bilinear((1, 0, k), (sign, k, 0)) for k in range(3, nu + 1)]
+    return ((a, b, sign), (b, a, sign)) + tuple((d, d, sign) for d in squares)
 
 
 def casimir_apply(
@@ -819,14 +891,14 @@ def casimir_apply(
     """Quadratic Casimir (sum of squared generators) applied exactly to psi.
 
     C_SO(nu) sums the rotations' squares G**2; C_SO(nu+1) adds those of the
-    mixings.  Each G**2 is sign * g**2 with g real (see _generator).
-    _ROWS[nu] holds (ids, occs, tables): a numbering of orbit
+    mixings.  Both sums are written as sums of integer products sign * a b
+    (see _rotations and _mixings).  _ROWS[nu] holds (ids, occs, tables): a numbering of orbit
     representatives, occs[ids[occ]] == occ, and one table of rows per part,
     filled as psi's orbits meet them.  rows[rep] is the flat tuple
     (id_1, c_1, id_2, c_2, ...) of the nonzero integer coefficients of
-    sum_G G**2 |rep>, composed with `_product_on` and folded into
-    representatives.  No G commutes with the permutations of the modes
-    3..nu, but sum_G G**2 does, so the folded row is exact.  The SO(nu)
+    sum sign a b |rep>, composed with `_product_on` and folded into
+    representatives.  No single product commutes with the permutations of
+    the modes 3..nu, but the sum does, so the folded row is exact.  The SO(nu)
     table (part None) has no convention, so it serves both groups and both
     conventions.  A nonzero psi of another nu raises LabelError.
     """
@@ -844,7 +916,7 @@ def casimir_apply(
         table = tables.get(part)
         if table is None:
             gens = _rotations(nu) if part is None else _mixings(nu, part)
-            if any(g.den != 1 for g, _ in gens):
+            if any(a.den != 1 or b.den != 1 for a, b, _ in gens):
                 raise KernelError("a Casimir generator has non-integer coefficients")
             table = tables[part] = (gens, {})
         gens, rows = table
@@ -852,8 +924,8 @@ def casimir_apply(
             row = rows.get(occ)
             if row is None:
                 acc: dict = {}
-                for g, sign in gens:
-                    _product_on(g, g, occ, sign, acc)
+                for a, b, sign in gens:
+                    _product_on(a, b, occ, sign, acc)
                 if nu > 3:
                     acc = _fold(acc)
                 flat = []
@@ -877,11 +949,11 @@ def casimir_check(
     group: CasimirGroup,
     convention: Convention = Convention.STANDARD,
 ):
-    """Exact Rayleigh quotient <psi|C|psi> / <psi|psi>."""
+    """Exact Rayleigh quotient <psi|C|psi> / <psi|psi>, in the Cartesian inner product."""
     if psi.is_zero:
         raise LabelError("casimir_check needs a nonzero state")
     image = casimir_apply(nu, psi, group, convention)
-    return rational(_dot(psi, image), _dot(psi, psi)) * image.scale / psi.scale
+    return inner(psi, image).re / inner(psi, psi).re
 
 
 def is_exact_eigenstate(
@@ -900,17 +972,12 @@ def is_exact_eigenstate(
 
 def _monomials(nu: int, cutoff: int):
     """All occupation tuples over nu+1 modes with total <= cutoff."""
-
-    def rec(modes_left: int, budget: int):
-        if modes_left == 1:
-            for x in range(budget + 1):
-                yield (x,)
-            return
-        for x in range(budget + 1):
-            for rest in rec(modes_left - 1, budget - x):
+    for x in range(cutoff + 1):
+        if nu:
+            for rest in _monomials(nu - 1, cutoff - x):
                 yield (x,) + rest
-
-    yield from rec(nu + 1, cutoff)
+        else:
+            yield (x,)
 
 
 def su11_commutator_check(nu: int, cutoff: int = 6) -> bool:
@@ -919,18 +986,18 @@ def su11_commutator_check(nu: int, cutoff: int = 6) -> bool:
     Verified exactly on every full-space occupation monomial with total
     boson number up to the cutoff: [Q+, Q-] = -2 Q0, [Q0, Q+-] = +-Q+-, the
     b-space pair creator commutes with all rotation generators, and the full
-    pair creator commutes with rotation and mixing generators alike.  Each
-    generator G is a multiple of its real g, so [P, G] = 0 exactly when
-    [P, g] = 0, and g is checked.  A single monomial is not symmetric under
-    permutations of the modes 3..nu, so both sides are composed on it with
-    `_product_on`, never held as a FockState.
+    pair creator commutes with rotation and mixing generators alike, checked
+    on the spanning sets that the first factors of the Casimir products form
+    (n_+ - n_-, X_k, Y_k, E_jk; X_0, Y_0, E_0k).  A single monomial is not
+    symmetric under permutations of the modes 3..nu, so both sides are
+    composed on it with `_product_on`, never held as a FockState.
     """
     check_dimension(nu)
     if cutoff < 0:
         raise LabelError(f"cutoff={cutoff} must be nonnegative")
     qp, qm, q0 = quasispin_plus(nu), quasispin_minus(nu), quasispin_zero(nu)
-    rot = [g for g, _ in _rotations(nu)]
-    mix = [g for g, _ in _mixings(nu, False)]
+    rot = [a for a, _, _ in _rotations(nu)]
+    mix = [a for a, _, _ in _mixings(nu, False)]
     pair_b = pair_creation_b(nu)
     pair_full = pair_creation_full(nu)
     one = BosonOperator([(1, (), ())])
@@ -954,13 +1021,16 @@ def su11_commutator_check(nu: int, cutoff: int = 6) -> bool:
 
 
 def state_to_json(psi: FockState) -> list[dict]:
-    """JSON-able dump: one record per monomial with b_2's complex coefficient c * scale * i^occ_2.
+    """JSON-able dump of the Cartesian state: one record per monomial of b_1..b_nu with its complex coefficient.
 
-    The real and imaginary parts are rational strings; i^occ_2 is 1, i, -1, -i as occ_2 % 4 is 0..3.
+    The beta_2-basis view c * scale (see FockState.view) times i^occ_2 is
+    b_2's coefficient; the real and imaginary parts are rational strings, and
+    i^occ_2 is 1, i, -1, -i as occ_2 % 4 is 0..3.
     """
     out = []
-    for occ, c in sorted(psi.terms.items()):
-        value = str(c * psi.scale if occ[2] % 4 < 2 else -c * psi.scale)
+    terms, scale = psi.view()
+    for occ, c in sorted(terms.items()):
+        value = str(c * scale if occ[2] % 4 < 2 else -c * scale)
         re, im = ("0", value) if occ[2] % 2 else (value, "0")
         out.append({"occ": list(occ), "re": re, "im": im})
     return out

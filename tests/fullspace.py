@@ -1,12 +1,17 @@
 """Full-space reference for the orbit-reduced Fock oracle, for the tests only.
 
-A state here is a dict {occ: c} of ints over every monomial, in the
-oracle's basis where mode 2 is beta_2 = -i b_2, with its rational scale
-kept beside it; nothing is folded into permutation orbits.  `apply`,
-`weighted`, `dot` and `casimir_image` are the oracle's full-space routines
-from before states were stored by orbit, and `chain_states` builds both
-chains' states with them, ladder by ladder and kernel by kernel, in the
-same order and with the same phases as the oracle.
+A state here is a dict {occ: c} of ints over every monomial, in the basis
+where mode 2 is beta_2 = -i b_2, with its rational scale kept beside it;
+nothing is folded into permutation orbits.  The oracle works in the helicity
+modes b_+ and b_- instead, and its `FockState.view` is compared with these
+states.  The operators here are the oracle's from before that change: the
+seed (b_1^dag + beta_2^dag)^t with the binomials, and the pair and generator
+operators with b_2^dag^2 = -beta_2^dag^2.  `apply`, `weighted`, `dot` and
+`casimir_image` are the oracle's full-space routines from before states were
+stored by orbit, and `chain_states` builds both chains' states with them,
+ladder by ladder and kernel by kernel, in the same order and with the same
+phases as the oracle.  Only mode-free routines come from the oracle:
+`BosonOperator`, `_product_on`, `_kernel_ints` and `creation_power(0, p)`.
 """
 
 from __future__ import annotations
@@ -14,17 +19,52 @@ from __future__ import annotations
 import math
 
 from chainbrackets.exactnum import rational
-from chainbrackets.fockoracle import (
-    CasimirGroup,
-    _kernel_ints,
-    _mixings,
-    _product_on,
-    _rotations,
-    creation_power,
-    pair_annihilation_full,
-    pair_creation_b,
-    pair_creation_full,
-)
+from chainbrackets.fockoracle import BosonOperator, CasimirGroup, _kernel_ints, _product_on, creation_power
+from chainbrackets.transform import OperatorSpec
+
+
+def _flip(j: int) -> int:
+    """The sign of b_j^dag^2 and b_j^2 in the beta_2 basis: -1 for mode 2, else 1."""
+    return -1 if j == 2 else 1
+
+
+def pair_creation_b(nu: int) -> BosonOperator:
+    return BosonOperator([(_flip(j), ((j, 2),), ()) for j in range(1, nu + 1)])
+
+
+def pair_full(nu: int, barred: bool, creation: bool) -> BosonOperator:
+    """s^dag^2 plus (standard) or minus (barred) the b-space pair creator, or the annihilator."""
+    sign = -1 if barred else 1
+    terms = [(1, ((0, 2),), ())] + [(sign * _flip(j), ((j, 2),), ()) for j in range(1, nu + 1)]
+    return BosonOperator(terms if creation else [(c, ann, cre) for c, cre, ann in terms])
+
+
+def boson_operator(op: OperatorSpec, nu: int) -> BosonOperator:
+    """The transform's three operators: b-space and scalar numbers, and the pair exchange over 2."""
+    if op is OperatorSpec.B_NUMBER:
+        return BosonOperator([(1, ((j, 1),), ((j, 1),)) for j in range(1, nu + 1)])
+    if op is OperatorSpec.S_NUMBER:
+        return BosonOperator([(1, ((0, 1),), ((0, 1),))])
+    up = [(_flip(j), ((j, 2),), ((0, 2),)) for j in range(1, nu + 1)]
+    return BosonOperator(up + [(c, ann, cre) for c, cre, ann in up], den=2)
+
+
+def generators(nu: int, group: CasimirGroup, barred: bool) -> list[tuple]:
+    """(g, sign) of every generator G of the group, with G**2 = sign * g**2 and g real in the beta_2 basis.
+
+    G is i(b_j^dag b_k - b_k^dag b_j) for the rotations and the standard
+    mixings (j = 0), and s^dag b_k + b_k^dag s for the barred mixings.
+    g = b_j^dag b_k + sign b_k^dag b_j, and G is g or +-i g: sign = +1
+    exactly when hermitian != (2 in (j, k)).
+    """
+    pairs = [(j, k, False) for j in range(1, nu + 1) for k in range(j + 1, nu + 1)]
+    if group is CasimirGroup.SO_NU_PLUS_ONE:
+        pairs += [(0, k, barred) for k in range(1, nu + 1)]
+    out = []
+    for j, k, hermitian in pairs:
+        sign = 1 if hermitian != (2 in (j, k)) else -1
+        out.append((BosonOperator([(1, ((j, 1),), ((k, 1),)), (sign, ((k, 1),), ((j, 1),))]), sign))
+    return out
 
 
 def nonzero(terms: dict) -> dict:
@@ -70,9 +110,7 @@ _ROWS: dict = {}
 
 def casimir_image(nu: int, terms: dict, group: CasimirGroup, barred: bool) -> dict:
     """sum_G G**2 = sum_g sign * g**2 over the group's generators on every monomial, rows memoized."""
-    gens = _rotations(nu)
-    if group is CasimirGroup.SO_NU_PLUS_ONE:
-        gens += _mixings(nu, barred)
+    gens = generators(nu, group, barred)
     out: dict = {}
     for occ, a in terms.items():
         key = (nu, group, barred, occ)
@@ -117,7 +155,7 @@ def chain_states(nu: int, n_max: int) -> tuple[dict, dict]:
         for sigma in range(t, n_max + 1):
             for barred in (False, True):
                 span = [chain1[sigma, t + 2 * q, t] for q in range((sigma - t) // 2 + 1)]
-                vec, _ = _kernel_ints([apply(pair_annihilation_full(nu, barred), v) for v, _ in span])
+                vec, _ = _kernel_ints([apply(pair_full(nu, barred, False), v) for v, _ in span])
                 out: dict = {}
                 for c, (v, _) in zip(vec, span):
                     for occ, a in v.items():
@@ -125,6 +163,17 @@ def chain_states(nu: int, n_max: int) -> tuple[dict, dict]:
                 terms, scale = _canonical(nonzero(out), span[0][1] / vec[0])
                 for N in range(sigma, n_max + 1, 2):
                     if N > sigma:
-                        terms, scale = apply(pair_creation_full(nu, barred), terms), -scale
+                        terms, scale = apply(pair_full(nu, barred, True), terms), -scale
                     chain2[N, sigma, t, barred] = (terms, scale)
     return chain1, chain2
+
+
+def canonical(terms: dict, scale) -> tuple[dict, object]:
+    """(terms, scale) with coprime ints and a positive scale: one form per value, {} for zero."""
+    terms = nonzero(terms)
+    return _canonical(terms, scale) if terms else ({}, 0)
+
+
+def view(psi) -> tuple[dict, object]:
+    """The canonical form of an oracle state's beta_2-basis view, to compare with canonical(terms, scale)."""
+    return canonical(*psi.view())

@@ -7,7 +7,7 @@ import hashlib
 import json
 import math
 import random
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -22,13 +22,16 @@ from chainbrackets.fockoracle import (
     CasimirGroup,
     FockState,
     KernelError,
+    NormalizedState,
+    SymmetryError,
+    _bilinear,
     _chain2_intrinsic,
     _dot,
-    _generator,
     _kernel_ints,
     _mixings,
     _monomials,
     _product_on,
+    _raising,
     _real_norm_sq,
     _rotations,
     apply,
@@ -91,8 +94,8 @@ def test_apply_annihilates_empty_mode():
 
 def test_pair_creator_on_vacuum():
     out = apply(pair_creation_b(2), monomial(0, 0, 0))
-    # b_2^dag^2 = -beta_2^dag^2
-    assert out == FockState({(0, 2, 0): 1, (0, 0, 2): -1})
+    # b_1^dag^2 + b_2^dag^2 = 2 b_+^dag b_-^dag
+    assert out == FockState({(0, 1, 1): 2})
 
 
 def _ladder(psi, word):
@@ -111,43 +114,56 @@ def _ladder(psi, word):
 
 
 def _image(psi, formula):
-    """The Cartesian formula [(coefficient, word), ...] applied to psi, a dict occ -> (re, im)."""
+    """The Cartesian formula [(coefficient, word), ...] applied to psi, a dict occ -> (re, im); zeros dropped."""
     out = {}
     for (cr, ci), word in formula:
         for key, (xr, xi) in _ladder(psi, word).items():
             r0, i0 = out.get(key, (0, 0))
             out[key] = (r0 + cr * xr - ci * xi, i0 + cr * xi + ci * xr)
+    return {key: c for key, c in out.items() if c != (0, 0)}
+
+
+def _times(c, d):
+    """The product of two Gaussian rationals (re, im)."""
+    return c[0] * d[0] - c[1] * d[1], c[0] * d[1] + c[1] * d[0]
+
+
+def _power(p, choices):
+    """The formula of (sum_i c_i b_{j_i}^dag)**p as its ordered words, for choices [(c_i, j_i), ...]."""
+    out = []
+    for pick in product(choices, repeat=p):
+        c = (1, 0)
+        for ci, _ in pick:
+            c = _times(c, ci)
+        out.append((c, tuple((j, 1) for _, j in pick)))
     return out
 
 
-def _times_i_power(c, k):
-    """The Gaussian integer c = (re, im) times i**k."""
-    for _ in range(k % 4):
-        c = (-c[1], c[0])
-    return c
+# b_+^dag acts as b_1^dag + i b_2^dag and b_-^dag as (b_1^dag - i b_2^dag)/2 (see FockState)
+_PLUS = [((1, 0), 1), ((0, 1), 2)]
+_MINUS = [((rational(1, 2), 0), 1), ((0, rational(-1, 2)), 2)]
 
 
-def _in_beta_basis(occ, image):
-    """The Cartesian image of the monomial occ as the oracle's ints, mode 2 being beta_2 = -i b_2.
-
-    |occ> = i^occ_2 |occ>_b, so the coefficient of |key> is the Cartesian one
-    times i^(occ_2 - key_2); it must be real.
-    """
+def _cartesian(terms):
+    """The Cartesian state, mode 2 being b_2, that the b_+- terms {occ: c} stand for, as occ -> (re, im)."""
     out = {}
-    for key, c in image.items():
-        re, im = _times_i_power(c, occ[2] - key[2])
-        assert im == 0, (occ, key)
-        if re:
-            out[key] = re
-    return out
+    for occ, c in terms.items():
+        image = {occ[:1] + (0, 0) + occ[3:]: (c, 0)}
+        image = _image(_image(image, _power(occ[1], _PLUS)), _power(occ[2], _MINUS))
+        for key, (re, im) in image.items():
+            r0, i0 = out.get(key, (0, 0))
+            out[key] = (r0 + re, i0 + im)
+    return {key: c for key, c in out.items() if c != (0, 0)}
 
 
 def _defining_formulas(nu):
-    """(name, constructed operator, den, [(coefficient, word), ...]) for every constructor at nu.
+    """(name, constructed operator, den, b_+- terms, [(coefficient, word), ...]) for every constructor at nu.
 
-    Each coefficient is a Gaussian integer (re, im) and each word is Cartesian,
-    in b_2; the formula is their sum over den.  creation_power(2, p) is
-    beta_2^dag^p = i^p b_2^dag^p.
+    Each coefficient is a Gaussian rational (re, im) and each word is
+    Cartesian, in b_1 and b_2; the formula is their sum over den.
+    creation_power(1, p) is (b_1^dag + i b_2^dag)**p and creation_power(2, p)
+    is ((b_1^dag - i b_2^dag)/2)**p.  The b-space pairs, nu words each, are
+    nu - 1 terms in the b_+- modes.
     """
     one = (1, 0)
     b = range(1, nu + 1)
@@ -161,26 +177,28 @@ def _defining_formulas(nu):
     pair_b_dag = [dag(j, 2) for j in b]
     pair_b = [ann(j, 2) for j in b]
     n_b = [dag(j) + ann(j) for j in b]
+    powers = {1: _PLUS, 2: _MINUS}
     cases = [
-        (f"creation_power({m}, {p})", creation_power(m, p), 1, [(_times_i_power(one, p * (m == 2)), dag(m, p))])
+        (f"creation_power({m}, {p})", creation_power(m, p), 1, 1, _power(p, powers.get(m, [(one, m)])))
         for m in range(nu + 1)
         for p in (1, 2, 3)
     ]
     cases += [
-        ("pair_creation_b", pair_creation_b(nu), 1, [(one, w) for w in pair_b_dag]),
-        ("pair_annihilation_b", pair_annihilation_b(nu), 1, [(one, w) for w in pair_b]),
-        ("number_operator", number_operator(nu), 1, [(one, w) for w in [dag(0) + ann(0)] + n_b]),
-        ("b_number_operator", b_number_operator(nu), 1, [(one, w) for w in n_b]),
-        ("s_number_operator", s_number_operator(nu), 1, [(one, dag(0) + ann(0))]),
+        ("pair_creation_b", pair_creation_b(nu), 1, nu - 1, [(one, w) for w in pair_b_dag]),
+        ("pair_annihilation_b", pair_annihilation_b(nu), 1, nu - 1, [(one, w) for w in pair_b]),
+        ("number_operator", number_operator(nu), 1, nu + 1, [(one, w) for w in [dag(0) + ann(0)] + n_b]),
+        ("b_number_operator", b_number_operator(nu), 1, nu, [(one, w) for w in n_b]),
+        ("s_number_operator", s_number_operator(nu), 1, 1, [(one, dag(0) + ann(0))]),
         (
             "pair_exchange_operator",
             pair_exchange_operator(nu),
             2,
+            2 * nu - 2,
             [(one, w + ann(0, 2)) for w in pair_b_dag] + [(one, dag(0, 2) + w) for w in pair_b],
         ),
-        ("quasispin_plus", quasispin_plus(nu), 2, [(one, w) for w in pair_b_dag]),
-        ("quasispin_minus", quasispin_minus(nu), 2, [(one, w) for w in pair_b]),
-        ("quasispin_zero", quasispin_zero(nu), 4, [((2, 0), w) for w in n_b] + [((nu, 0), ())]),
+        ("quasispin_plus", quasispin_plus(nu), 2, nu - 1, [(one, w) for w in pair_b_dag]),
+        ("quasispin_minus", quasispin_minus(nu), 2, nu - 1, [(one, w) for w in pair_b]),
+        ("quasispin_zero", quasispin_zero(nu), 4, nu + 1, [((2, 0), w) for w in n_b] + [((nu, 0), ())]),
     ]
     for barred in (False, True):
         sign = (-1, 0) if barred else one
@@ -189,12 +207,14 @@ def _defining_formulas(nu):
                 f"pair_creation_full(barred={barred})",
                 pair_creation_full(nu, barred),
                 1,
+                nu,
                 [(one, dag(0, 2))] + [(sign, w) for w in pair_b_dag],
             ),
             (
                 f"pair_annihilation_full(barred={barred})",
                 pair_annihilation_full(nu, barred),
                 1,
+                nu,
                 [(one, ann(0, 2))] + [(sign, w) for w in pair_b],
             ),
         ]
@@ -202,50 +222,61 @@ def _defining_formulas(nu):
 
 
 def _generator_formulas(nu):
-    """(name, (g, sign) from _generator, Cartesian formula of the generator G) for every generator at nu.
+    """(name, (a, b, sign) products, Cartesian formulas of the generators G) for each Casimir part at nu.
 
-    The rotations are i(b_j^dag b_k - b_k^dag b_j); the mixings i(s^dag b_j - b_j^dag s)
+    The products' sum sign * a b must be the sum of the G**2.  The rotations
+    are i(b_j^dag b_k - b_k^dag b_j); the mixings i(s^dag b_j - b_j^dag s)
     (standard) and s^dag b_j + b_j^dag s (barred).
     """
     i, minus_i, one = (0, 1), (0, -1), (1, 0)
-    pairs = [(j, k, False) for j in range(1, nu + 1) for k in range(j + 1, nu + 1)]
-    pairs += [(0, j, hermitian) for j in range(1, nu + 1) for hermitian in (False, True)]
+    rotations = [(j, k, False) for j in range(1, nu + 1) for k in range(j + 1, nu + 1)]
+    parts = [("_rotations", _rotations(nu), rotations)]
+    for barred in (False, True):
+        parts.append((f"_mixings(barred={barred})", _mixings(nu, barred), [(0, j, barred) for j in range(1, nu + 1)]))
     cases = []
-    for j, k, hermitian in pairs:
-        up, down = ((j, 1), (k, -1)), ((k, 1), (j, -1))
-        formula = [(one, up), (one, down)] if hermitian else [(i, up), (minus_i, down)]
-        cases.append((f"_generator({j}, {k}, {hermitian})", _generator(j, k, hermitian), formula))
+    for name, products, pairs in parts:
+        formulas = []
+        for j, k, hermitian in pairs:
+            up, down = ((j, 1), (k, -1)), ((k, 1), (j, -1))
+            formulas.append([(one, up), (one, down)] if hermitian else [(i, up), (minus_i, down)])
+        cases.append((name, products, formulas))
     return cases
 
 
 @pytest.mark.parametrize("nu", [2, 3, 4])
 def test_every_operator_constructor_applies_its_defining_formula(nu):
-    # each constructor against its Cartesian formula, through the phase i^occ_2 of the
-    # beta_2 basis; each generator G through G**2 = sign * g**2
+    # each constructor against its Cartesian formula, through the Cartesian images of the
+    # b_+- monomials; each Casimir part's products against the sum of its generators' squares
     cases = _defining_formulas(nu)
-    for name, op, den, formula in cases:
-        assert len(op.terms) == len(formula), name
+    for name, op, den, count, formula in cases:
+        assert len(op.terms) == count, name
         assert op.den == den, name
     generators = _generator_formulas(nu)
-    for name, (g, sign), formula in generators:
-        assert len(g.terms) == len(formula) and g.den == 1 and sign in (1, -1), name
+    for name, products, formulas in generators:
+        assert len(products) == len(formulas), name
+        assert all(a.den == b.den == 1 and sign in (1, -1) for a, b, sign in products), name
     identity = BosonOperator([(1, (), ())])
     for occ in _monomials(nu, 4):
-        start = {occ: (1, 0)}
-        for name, op, den, formula in cases:
-            expected = _in_beta_basis(occ, _image(start, formula))
+        start = _cartesian({occ: 1})
+        for name, op, den, _, formula in cases:
+            expected = _image(start, formula)
             # a single monomial is not symmetric in the modes 3..nu at nu >= 4, so the
             # operator acts on it in the full space, composed with the identity
             got = {}
             _product_on(op, identity, occ, 1, got)
-            assert fullspace.nonzero(got) == expected, (name, occ)
+            assert _cartesian(fullspace.nonzero(got)) == expected, (name, occ)
             if nu <= 3:
-                assert apply(op, monomial(*occ)) == FockState(expected, rational(1, den)), (name, occ)
-        for name, (g, sign), formula in generators:
-            expected = _in_beta_basis(occ, _image(_image(start, formula), formula))
+                assert apply(op, monomial(*occ)) == FockState(fullspace.nonzero(got), rational(1, den)), (name, occ)
+        for name, products, formulas in generators:
+            expected = {}
+            for formula in formulas:
+                for key, (re, im) in _image(_image(start, formula), formula).items():
+                    r0, i0 = expected.get(key, (0, 0))
+                    expected[key] = (r0 + re, i0 + im)
             got = {}
-            _product_on(g, g, occ, sign, got)
-            assert fullspace.nonzero(got) == expected, (name, occ)
+            for a, b, sign in products:
+                _product_on(a, b, occ, sign, got)
+            assert _cartesian(fullspace.nonzero(got)) == {k: c for k, c in expected.items() if c != (0, 0)}, (name, occ)
 
 
 def test_inner_examples():
@@ -272,23 +303,27 @@ def _cartesian_inner(psi, phi):
 
 
 def test_inner_conjugates_the_bra():
-    # s^dag beta_2^dag = i s^dag b_2^dag: the Cartesian coefficient is i, and <a|a> = conj(i) i = 1
-    a = monomial(1, 0, 1)
+    # s^dag (b_+^dag / 2 - b_-^dag) = s^dag (b_1^dag + i b_2^dag - b_1^dag + i b_2^dag) / 2 = i s^dag b_2^dag:
+    # the Cartesian coefficient is i, and <a|a> = conj(i) i = 1, from the helicities 1 and -1
+    a = FockState({(1, 1, 0): 1, (1, 0, 1): -2}, rational(1, 2))
     assert state_to_json(a) == [{"occ": [1, 0, 1], "re": "0", "im": "1"}]
     assert inner(a, a) == _cartesian_inner(a, a) == gr(1)
-    # a larger state on either side, with occ_2 = 0..3: the bra stays conjugated
+    # a larger state on either side, with n_- = 0..3 and Cartesian occ_2 = 0..3: the bra stays conjugated
     big = FockState({(1, 0, 1): 1, (0, 1, 0): 2, (0, 1, 2): -3, (0, 0, 3): 5}, rational(1, 2))
     for bra, ket in ((big, a), (a, big), (big, big)):
         assert inner(bra, ket) == _cartesian_inner(bra, ket), (bra, ket)
-    assert inner(big, a) == inner(a, big) == gr(rational(1, 2))
-    assert inner(big, big) == gr(rational(1 + 4 + 9 * 2 + 25 * 6, 4))
+    # each helicity L counts 2^L times: only s^dag b_-^dag (L = -1) is in both states
+    assert inner(big, a) == inner(a, big) == gr(rational(1 * -2, 2 * 4))
+    assert inner(big, big) == gr(rational(4 * (1 + 9 * 2) + 8 * 4 * 2 + 25 * 6, 8 * 4))
 
 
 def test_seed_examples():
     assert seed_state(4, 0) == monomial(0, 0, 0, 0, 0)
-    # (b_1^dag + beta_2^dag)^tau: the binomials
-    assert seed_state(2, 1) == FockState({(0, 1, 0): 1, (0, 0, 1): 1})
-    assert seed_state(3, 2) == FockState({(0, 2, 0, 0): 1, (0, 1, 1, 0): 2, (0, 0, 2, 0): 1})
+    # b_+^dag^tau, whose view is (b_1^dag + beta_2^dag)^tau: the binomials
+    assert seed_state(2, 1) == FockState({(0, 1, 0): 1})
+    assert seed_state(2, 1).view() == ({(0, 1, 0): 1, (0, 0, 1): 1}, 1)
+    assert seed_state(3, 2) == FockState({(0, 2, 0, 0): 1})
+    assert seed_state(3, 2).view() == ({(0, 2, 0, 0): 1, (0, 1, 1, 0): 2, (0, 0, 2, 0): 1}, 1)
 
 
 def test_seed_is_killed_by_pair_annihilator_and_carries_seniority():
@@ -304,8 +339,8 @@ def test_chain1_states():
     assert st.state == FockState({(2, 0, 0): 1})
     assert st.norm_sq == 2
     st = build_chain1_state(2, 2, 2, 0)
-    # -(b_1^dag^2 + b_2^dag^2) = -b_1^dag^2 + beta_2^dag^2
-    assert st.state == FockState({(0, 2, 0): -1, (0, 0, 2): 1})
+    # -(b_1^dag^2 + b_2^dag^2) = -2 b_+^dag b_-^dag
+    assert st.state == FockState({(0, 1, 1): -2})
     assert st.norm_sq == 4
     st = build_chain1_state(2, 1, 1, 1)
     assert st.state == seed_state(2, 1)
@@ -326,11 +361,12 @@ def test_chain1_eigenvalues():
 
 
 def test_chain2_states_frozen():
+    # -s^dag^2 - b_1^dag^2 - b_2^dag^2
     st = build_chain2_state(2, 2, 0, 0)
-    assert st.state == FockState({(2, 0, 0): -1, (0, 2, 0): -1, (0, 0, 2): 1})
+    assert st.state == FockState({(2, 0, 0): -1, (0, 1, 1): -2})
     assert st.norm_sq == 6
     st = build_chain2_state(2, 2, 2, 0)
-    assert st.state == FockState({(2, 0, 0): 2, (0, 2, 0): -1, (0, 0, 2): 1}, rational(1, 2))
+    assert st.state == FockState({(2, 0, 0): 2, (0, 1, 1): -2}, rational(1, 2))
     assert st.norm_sq == 3
     st = build_chain2_state(3, 4, 4, 4)
     assert st.state == seed_state(3, 4)
@@ -451,11 +487,11 @@ def test_constructor_drops_zero_pairs_and_keeps_the_scale():
         (2, 0, 0): 0,
     }
     psi = FockState(terms, rational(1, 42))
-    assert psi.terms == {occ: c for occ, c in terms.items() if c != 0}
-    assert len(psi.terms) == 3
+    assert psi.pm_terms == {occ: c for occ, c in terms.items() if c != 0}
+    assert len(psi.pm_terms) == 3
     assert psi.scale == rational(1, 42)
     assert (2, 0, 0) in terms  # the argument is not modified
-    assert FockState(psi.terms, psi.scale) == psi
+    assert FockState(psi.pm_terms, psi.scale) == psi
     assert FockState(terms).scale == 1
     assert FockState({(0, 0, 0): 0}).is_zero
     assert not FockState({(0, 0, 0): -1}).is_zero
@@ -479,6 +515,26 @@ def test_constructor_refuses_malformed_keys():
     with pytest.raises(LabelError):
         FockState({(0, 0, 0): 1, (0, 0): 0})
     assert FockState({}).is_zero and FockState({(0, 0, 0, 0): 0}).is_zero
+
+
+def test_constructor_refuses_non_integer_coefficients_and_scales():
+    # a float coefficient read <psi|psi> = 5.0 and printed "2.0"; a float scale read the
+    # overlap 0.010000000000000002; a half coefficient raised SymmetryError
+    for terms, scale in (
+        ({(0, 1, 0): 2.0, (0, 0, 1): 1}, rational(1)),
+        ({(0, 1, 0): 1}, 0.1),
+        ({(0, 1, 0): 0.5}, rational(1)),
+        ({(0, 1, 0): rational(1, 2)}, rational(1)),
+    ):
+        with pytest.raises(LabelError, match="ints and the scale an int or a Fraction"):
+            FockState(terms, scale)
+    # an int scale is accepted, and so is a Fraction
+    assert FockState({(0, 1, 0): 3}, 2) == FockState({(0, 1, 0): 6}) == FockState({(0, 1, 0): 12}, rational(1, 2))
+    # the symmetry check reads the b_+- terms as given, not the view, whose keys differ
+    psi = FockState({(0, 1, 1, 1, 0): 1, (0, 1, 1, 0, 1): 1})
+    assert psi.orbits == {(0, 1, 1, 1, 0): 2} and set(psi.terms) != set(psi.pm_terms)
+    with pytest.raises(SymmetryError):
+        FockState({(0, 1, 0, 1, 0): 1, (0, 0, 1, 0, 1): 1})
 
 
 def test_times_zero_and_negative_scalars():
@@ -507,7 +563,7 @@ def test_equal_representations_hash_alike():
 def _kernel_by_fraction_gauss_jordan(images):
     """Reference: Gauss-Jordan elimination over the rationals, free entry 1."""
     ncols = len(images)
-    columns = [(im.terms, im.scale) for im in images]  # each full-space view built once
+    columns = [(im.pm_terms, im.scale) for im in images]  # each full-space view built once
     keys = sorted(set().union(*(terms.keys() for terms, _ in columns)))
     rows = [[terms.get(k, 0) * scale for terms, scale in columns] for k in keys]
     pivot_of_col = {}
@@ -547,7 +603,7 @@ def _intrinsic_reference(nu, sigma, t, barred):
     out = {}
     for c, v in zip(vec, span):
         weight = c / vec[0] * v.scale
-        for occ, x in v.terms.items():
+        for occ, x in v.pm_terms.items():
             out[occ] = out.get(occ, 0) + weight * x
     # the rational coefficients as integers over their common denominator
     den = math.lcm(*(c.denominator for c in out.values()))
@@ -565,7 +621,7 @@ def test_fraction_free_kernel_matches_fraction_gauss_jordan():
                     assert state == expected, (nu, sigma, t, barred)
                     # the oracle keeps the canonical form: coprime integers, positive scale
                     canonical = expected.canonical()
-                    assert (state.terms, state.scale) == (canonical.terms, canonical.scale)
+                    assert (state.pm_terms, state.scale) == (canonical.pm_terms, canonical.scale)
 
 
 def test_invalid_labels_rejected():
@@ -609,29 +665,51 @@ def test_state_to_json():
         {"occ": [0, 0, 1], "re": "0", "im": "1"},
         {"occ": [0, 1, 0], "re": "1", "im": "0"},
     ]
-    # each part is the integer times the scale times i^occ_2, as one rational string
+    # each part is the view's integer times its scale times i^occ_2, as one rational string:
+    # s^(3-c) b_-^dag^c stands for s^(3-c) 2^-c (b_1^dag - beta_2^dag)^c, and beta_2^dag = i b_2^dag
     psi = FockState({(3, 0, 0): 2, (2, 0, 1): 3, (1, 0, 2): -5, (0, 0, 3): 7}, rational(-2, 3))
+    assert psi.view() == (
+        {
+            (3, 0, 0): 16,
+            (2, 1, 0): 12,
+            (2, 0, 1): -12,
+            (1, 2, 0): -10,
+            (1, 1, 1): 20,
+            (1, 0, 2): -10,
+            (0, 3, 0): 7,
+            (0, 2, 1): -21,
+            (0, 1, 2): 21,
+            (0, 0, 3): -7,
+        },
+        rational(-1, 12),
+    )
     assert state_to_json(psi) == [
-        {"occ": [0, 0, 3], "re": "0", "im": "14/3"},
-        {"occ": [1, 0, 2], "re": "-10/3", "im": "0"},
-        {"occ": [2, 0, 1], "re": "0", "im": "-2"},
+        {"occ": [0, 0, 3], "re": "0", "im": "-7/12"},
+        {"occ": [0, 1, 2], "re": "7/4", "im": "0"},
+        {"occ": [0, 2, 1], "re": "0", "im": "7/4"},
+        {"occ": [0, 3, 0], "re": "-7/12", "im": "0"},
+        {"occ": [1, 0, 2], "re": "-5/6", "im": "0"},
+        {"occ": [1, 1, 1], "re": "0", "im": "-5/3"},
+        {"occ": [1, 2, 0], "re": "5/6", "im": "0"},
+        {"occ": [2, 0, 1], "re": "0", "im": "1"},
+        {"occ": [2, 1, 0], "re": "-1", "im": "0"},
         {"occ": [3, 0, 0], "re": "-4/3", "im": "0"},
     ]
 
 
 def _casimir_by_definition(nu, psi, group, convention):
-    """Sum over the generators G of G(G psi) = sign * g(g psi), each step a full-space reference apply.
+    """Sum over the Casimir products of sign * a(b psi), each step a full-space reference apply.
 
-    No single generator commutes with the permutations of the modes 3..nu,
+    No single product commutes with the permutations of the modes 3..nu,
     so the steps run on psi's full-space terms; the sum is symmetric again.
     """
     out = {}
-    terms = psi.terms
+    terms = psi.pm_terms
     gens = _rotations(nu)
     if group is CasimirGroup.SO_NU_PLUS_ONE:
         gens += _mixings(nu, convention is Convention.BARRED)
-    for g, sign in gens:
-        for occ, c in fullspace.apply(g, fullspace.apply(g, terms)).items():
+    for a, b, sign in gens:
+        for occ, c in fullspace.apply(a, fullspace.apply(b, terms)).items():
             out[occ] = out.get(occ, 0) + sign * c
     return FockState(out, psi.scale)
 
@@ -666,7 +744,7 @@ def _casimir_cases(nu):
 @pytest.mark.parametrize("nu", [2, 3, 4, 5])
 def test_casimir_apply_equals_the_sum_of_squared_generators(nu):
     cases = _casimir_cases(nu)
-    assert len({sum(occ) for occ in cases[-1].terms}) > 1 and cases[-1].scale != 1
+    assert len({sum(occ) for occ in cases[-1].pm_terms}) > 1 and cases[-1].scale != 1
     for psi in cases:
         for group in CasimirGroup:
             for conv in Convention:
@@ -683,11 +761,11 @@ def test_casimir_row_memo_is_shared_and_cleared(cold_caches):
     ids, occs, tables = fockoracle._ROWS[3]
     (rot_gens, rotations), (mix_gens, mixings) = tables[None], tables[True]
     assert rot_gens == _rotations(3) and mix_gens == _mixings(3, True)
-    assert set(rotations) == set(mixings) == set(psi.terms)
+    assert set(rotations) == set(mixings) == set(psi.pm_terms)
     # SO(nu) has no convention: the barred check filled the rows the standard one reads
     casimir_apply(3, psi, CasimirGroup.SO_NU, Convention.STANDARD)
     assert list(fockoracle._ROWS) == [3] and set(tables) == {None, True}
-    assert set(occs) >= set(psi.terms) and [ids[occ] for occ in occs] == list(range(len(occs)))
+    assert set(occs) >= set(psi.pm_terms) and [ids[occ] for occ in occs] == list(range(len(occs)))
     clear_caches()
     assert not fockoracle._ROWS
     assert _rotations.cache_info().currsize == _mixings.cache_info().currsize == 0
@@ -703,7 +781,8 @@ def cold_caches():
 
 
 def test_casimir_row_memo_carries_each_generator_sign(monkeypatch, cold_caches):
-    # a generator G = i g enters the rows as -g**2: g = b_1^dag b_3 - b_3^dag b_1 + s^dag b_1 + b_1^dag s
+    # a product (a, b, -1) enters the rows as -a b, b acting first:
+    # a = b_+^dag b_3 - b_3^dag b_+ + s^dag b_+ + b_+^dag s, b = b_-^dag b_3 - b_3^dag b_+
     g = BosonOperator(
         [
             (1, ((1, 1),), ((3, 1),)),
@@ -712,18 +791,19 @@ def test_casimir_row_memo_carries_each_generator_sign(monkeypatch, cold_caches):
             (1, ((1, 1),), ((0, 1),)),
         ]
     )
+    h = _raising(3)[1]
     psi = _casimir_cases(3)[-1]
-    expected = apply(g, apply(g, psi)).times(-1)
-    assert not expected.is_zero
-    monkeypatch.setattr(fockoracle, "_rotations", lambda nu: ((g, -1),))
+    expected = apply(g, apply(h, psi)).times(-1)
+    assert not expected.is_zero and expected != apply(h, apply(g, psi)).times(-1)
+    monkeypatch.setattr(fockoracle, "_rotations", lambda nu: ((g, h, -1),))
     assert casimir_apply(3, psi, CasimirGroup.SO_NU) == expected
     assert casimir_apply(3, psi, CasimirGroup.SO_NU) == expected
 
 
 def test_casimir_rejects_a_generator_with_a_denominator(monkeypatch, cold_caches):
-    # (1/2)(b_1^dag beta_2 + beta_2^dag b_1): half of the real g of a rotation generator
+    # (1/2)(b_+^dag b_- + b_-^dag b_+), squared
     half = BosonOperator([(1, ((1, 1),), ((2, 1),)), (1, ((2, 1),), ((1, 1),))], den=2)
-    monkeypatch.setattr(fockoracle, "_rotations", lambda nu: ((half, 1),))
+    monkeypatch.setattr(fockoracle, "_rotations", lambda nu: ((half, half, 1),))
     with pytest.raises(KernelError):
         casimir_apply(3, seed_state(3, 1), CasimirGroup.SO_NU)
 
@@ -748,9 +828,9 @@ def test_product_on_equals_composed_apply():
         quasispin_plus(nu),
         quasispin_minus(nu),
         quasispin_zero(nu),
-        _generator(1, 3, False)[0],
-        _generator(0, 2, False)[0],
-        _generator(0, 2, True)[0],
+        _raising(3)[0],
+        _raising(0)[1],
+        _mixings(nu, True)[0][0],
         pair_creation_full(nu, barred=True),
         pair_exchange_operator(nu),
     ]
@@ -942,19 +1022,20 @@ def test_oracle_bracket_equals_the_fraction_reference():
 
 
 def test_integer_dot_carries_the_scales():
-    a = FockState({(0, 2, 0): 9, (1, 0, 1): 2}, rational(1, 6))
-    b = FockState({(0, 2, 0): -2, (1, 0, 1): 4, (0, 0, 2): 7})
+    # states of helicity 2, whose Cartesian inner product is 2**2 times the dot
+    a = FockState({(0, 2, 0): 9, (1, 3, 1): 2}, rational(1, 6))
+    b = FockState({(0, 2, 0): -2, (1, 3, 1): 4, (0, 4, 2): 7})
     for bra, ket in ((a, b), (b, a), (a, a)):
         dot = _dot(bra, ket)
         scale = bra.scale * ket.scale
-        assert inner(bra, ket) == gr(dot * scale)
+        assert inner(bra, ket) == gr(4 * dot * scale)
     # a multiple of b keeps b's integers and carries the factor in its scale;
     # the dot taken with a cold weight memo equals the dot taken again with a warm one
     scaled_b = b.times(rational(-5, 3))
     clear_caches()
     dot = _dot(scaled_b, b)
     assert fockoracle._WEIGHT
-    assert _dot(scaled_b, b) == dot == 4 * 2 + 16 + 49 * 2
+    assert _dot(scaled_b, b) == dot == 4 * 2 + 16 * 3 * 2 + 49 * 24 * 2
 
 
 def test_states_of_different_nu_have_no_inner_product():
@@ -996,7 +1077,7 @@ def test_apply_refuses_an_operator_beyond_the_state_modes():
     cases = (
         (pair_creation_b(5), seed_state(3, 1), "nu >= 5, the state has nu=3"),
         (number_operator(3), seed_state(2, 0), "nu >= 3, the state has nu=2"),
-        (_generator(1, 6, False)[0], build_chain1_state(4, 2, 2, 0).state, "nu >= 6, the state has nu=4"),
+        (_bilinear((1, 1, 6), (-1, 6, 1)), build_chain1_state(4, 2, 2, 0).state, "nu >= 6, the state has nu=4"),
     )
     for op, psi, match in cases:
         with pytest.raises(LabelError, match=match):
@@ -1032,7 +1113,8 @@ def test_clear_caches_collects_every_cached_function_at_import(monkeypatch):
 
 def test_real_norm_sq_equals_the_inner_product():
     psi = build_chain2_state(3, 5, 3, 1, Convention.BARRED).state
-    other = FockState({(0, 1, 0, 0): 14, (0, 0, 1, 0): -15, (2, 0, 0, 1): 63}, rational(1, 21))
+    # one helicity, 1, so the Cartesian norm is twice the dot
+    other = FockState({(0, 1, 0, 0): 14, (0, 2, 1, 0): -15, (2, 1, 0, 1): 63}, rational(1, 21))
     cases = (psi, psi.times(-1), psi.times(rational(7, 4)), other, other.times(-3))
     assert all(state.scale != 1 for state in cases)
     assert any(state.scale < 0 for state in cases)
@@ -1040,6 +1122,12 @@ def test_real_norm_sq_equals_the_inner_product():
         assert _real_norm_sq(state) == inner(state, state).re
     with pytest.raises(KernelError):
         _real_norm_sq(FockState({}))
+    # a norm or a unit weighs the dot by 2^L for one helicity L; a mix is refused, not misread
+    mixed = FockState({(0, 1, 0, 0): 1, (0, 0, 1, 0): 1})
+    with pytest.raises(LabelError, match="mixes helicities"):
+        _real_norm_sq(mixed)
+    with pytest.raises(LabelError, match="mixes helicities"):
+        NormalizedState(mixed, 1).unit
 
 
 def _ladder_references(nu, n_max):
@@ -1076,7 +1164,7 @@ def test_incremental_ladders_equal_ladders_built_from_the_start(nu, cold_caches)
             assert st.norm_sq == inner(expected, expected).re
         for label in sorted(chain1, key=lambda lab: -lab[1] if deepest_first else lab[1]):
             st, expected = build_chain1_state(*label), chain1[label]
-            assert (st.state.terms, st.state.scale) == (expected.terms, expected.scale), label
+            assert (st.state.pm_terms, st.state.scale) == (expected.pm_terms, expected.scale), label
             assert st.norm_sq == inner(expected, expected).re
     # warm: every label is a cache hit and still equals its reference
     hits = build_chain2_state.cache_info().hits

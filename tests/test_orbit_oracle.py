@@ -2,7 +2,9 @@
 
 Every chain state, overlap, deformed-oracle block and Casimir image at
 nu <= 5, N <= 8 (both conventions, signed tau at nu = 2) must equal the
-reference exactly: the same full-space integers under the same scale.
+reference exactly.  The reference works in the beta_2 basis and the oracle in
+the helicity modes b_+ and b_-, so each state is compared through the
+oracle's view: the same full-space values, in canonical form.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from chainbrackets.fockoracle import (
     CasimirGroup,
     FockState,
     SymmetryError,
-    _generator,
+    _bilinear,
     apply,
     b_number_operator,
     build_chain1_state,
@@ -71,14 +73,14 @@ def test_every_chain_state_equals_the_full_space_reference(reference):
         for n in ns:
             st = build_chain1_state(nu, N, n, tau)
             terms, scale = chain1[N, n, t]
-            assert (st.state.terms, st.state.scale) == (terms, scale), (nu, N, n, tau)
+            assert fullspace.view(st.state) == fullspace.canonical(terms, scale), (nu, N, n, tau)
             assert st.norm_sq == fullspace.norm_sq(terms, scale)
             checks += 1
         for sigma in sigmas:
             for conv in Convention:
                 st = build_chain2_state(nu, N, sigma, tau, conv)
                 terms, scale = chain2[N, sigma, t, conv is Convention.BARRED]
-                assert (st.state.terms, st.state.scale) == (terms, scale), (nu, N, sigma, tau, conv)
+                assert fullspace.view(st.state) == fullspace.canonical(terms, scale), (nu, N, sigma, tau, conv)
                 assert st.norm_sq == fullspace.norm_sq(terms, scale)
                 checks += 1
     assert checks == 1350
@@ -112,7 +114,8 @@ def test_every_deformed_oracle_block_equals_the_full_space_reference(reference):
             states = [chain2[N, sigma, abs(tau), conv is Convention.BARRED] for sigma in sigmas]
             norms = [fullspace.norm_sq(terms, scale) for terms, scale in states]
             for op in OperatorSpec:
-                bosons = boson_operator(op, nu)
+                bosons = fullspace.boson_operator(op, nu)
+                assert bosons.den == boson_operator(op, nu).den
                 kets = [(fullspace.apply(bosons, terms), scale / bosons.den) for terms, scale in states]
                 expected = []
                 for (terms_i, s_i), norm_i in zip(states, norms):
@@ -127,38 +130,51 @@ def test_every_deformed_oracle_block_equals_the_full_space_reference(reference):
                 assert got.entries == tuple(expected), (nu, N, tau, op, conv)
 
 
+def _conv(barred):
+    return Convention.BARRED if barred else Convention.STANDARD
+
+
 def test_every_casimir_image_equals_the_full_space_reference(reference):
+    # the oracle's state at each reference key, imaged by the oracle's Casimir rows,
+    # against the reference image of the reference state
     checks = 0
     for nu in range(2, NU_MAX + 1):
         chain1, chain2 = reference[nu]
-        states = [(terms, scale, barred) for terms, scale in chain1.values() for barred in (False, True)]
-        states += [(terms, scale, barred) for (_, _, _, barred), (terms, scale) in chain2.items()]
-        for terms, scale, barred in states:
-            psi = FockState(terms, scale)
-            conv = Convention.BARRED if barred else Convention.STANDARD
+        states = [
+            (build_chain1_state(nu, *key).state, terms, scale, barred)
+            for key, (terms, scale) in chain1.items()
+            for barred in (False, True)
+        ]
+        states += [
+            (build_chain2_state(nu, N, sigma, t, _conv(barred)).state, terms, scale, barred)
+            for (N, sigma, t, barred), (terms, scale) in chain2.items()
+        ]
+        for psi, terms, scale, barred in states:
             for group in CasimirGroup:
-                image = casimir_apply(nu, psi, group, conv)
+                image = casimir_apply(nu, psi, group, _conv(barred))
                 expected = fullspace.casimir_image(nu, terms, group, barred)
-                assert (image.terms, image.scale) == (expected, scale), (nu, group, barred)
+                assert fullspace.view(image) == fullspace.canonical(expected, scale), (nu, group, barred)
                 checks += 1
     assert checks == 3040
 
 
 @pytest.mark.parametrize("nu", [4, 5])
 def test_invariant_operators_on_chain_states_equal_the_full_space_reference(reference, nu):
+    # each oracle operator on the oracle's state, against its beta_2-basis twin on the reference state
     _, chain2 = reference[nu]
     for barred in (False, True):
         ops = [
-            pair_creation_full(nu, barred),
-            pair_annihilation_full(nu, barred),
-            pair_exchange_operator(nu),
-            b_number_operator(nu),
+            (pair_creation_full(nu, barred), fullspace.pair_full(nu, barred, True)),
+            (pair_annihilation_full(nu, barred), fullspace.pair_full(nu, barred, False)),
+            (pair_exchange_operator(nu), fullspace.boson_operator(OperatorSpec.PAIRING, nu)),
+            (b_number_operator(nu), fullspace.boson_operator(OperatorSpec.B_NUMBER, nu)),
         ]
-        for terms, scale in chain2.values():
-            psi = FockState(terms, scale)
-            for op in ops:
+        for (N, sigma, t, bar), (terms, scale) in chain2.items():
+            psi = build_chain2_state(nu, N, sigma, t, _conv(bar)).state
+            for op, twin in ops:
                 image = apply(op, psi)
-                assert (image.terms, image.scale) == (fullspace.apply(op, terms), scale / op.den)
+                assert op.den == twin.den
+                assert fullspace.view(image) == fullspace.canonical(fullspace.apply(twin, terms), scale / op.den)
 
 
 def test_orbits_store_one_representative_per_orbit_with_its_multiplicity():
@@ -166,12 +182,12 @@ def test_orbits_store_one_representative_per_orbit_with_its_multiplicity():
     terms = {(1, 0, 0, 1, 0, 0): 2, (1, 0, 0, 0, 1, 0): 2, (1, 0, 0, 0, 0, 1): 2}
     psi = FockState(terms, rational(1, 2))
     assert psi.orbits == {(1, 0, 0, 1, 0, 0): 6}
-    assert psi.terms == terms and len(psi.terms) == 3
+    assert psi.pm_terms == psi.terms == terms and len(psi.terms) == 3
     # <psi|psi> = 3 monomials of weight 1, each with |c|^2 = 1
     assert inner(psi, psi).re == 3
     # a chain state: each representative stands for every distinct ordering of its occ[3:]
     state = build_chain2_state(5, 4, 4, 0).state
-    assert len(state.terms) == sum(len(set(permutations(occ[3:]))) for occ in state.orbits) > len(state.orbits)
+    assert len(state.pm_terms) == sum(len(set(permutations(occ[3:]))) for occ in state.orbits) > len(state.orbits)
     assert all(list(occ[3:]) == sorted(occ[3:], reverse=True) for occ in state.orbits)
 
 
@@ -189,8 +205,8 @@ def test_a_state_must_be_symmetric_in_modes_3_to_nu():
 
 
 def _g(j, k, hermitian=False):
-    """The real operator g of the generator of the modes j < k (see fockoracle._generator)."""
-    return _generator(j, k, hermitian)[0]
+    """b_j^dag b_k - b_k^dag b_j, or b_j^dag b_k + b_k^dag b_j if hermitian: a generator of the modes j < k."""
+    return _bilinear((1, j, k), (1 if hermitian else -1, k, j))
 
 
 def test_apply_refuses_an_operator_that_is_not_invariant():

@@ -100,14 +100,17 @@ def test_orbit_oracle_equals_the_full_space_reference(data):
     (terms, scale), (other, other_scale) = data.draw(symmetric_states(nu)), data.draw(symmetric_states(nu))
     terms, other = fullspace.nonzero(terms), fullspace.nonzero(other)
     psi, phi = FockState(terms, scale), FockState(other, other_scale)
-    assert (psi.terms, psi.scale) == (terms, scale)
+    assert (psi.pm_terms, psi.scale) == (terms, scale)
     assert all(list(occ[3:]) == sorted(occ[3:], reverse=True) for occ in psi.orbits)
     op = data.draw(st.sampled_from(_invariant_operators(nu)))
     image = apply(op, psi)
-    assert (image.terms, image.scale) == (fullspace.apply(op, terms), scale / op.den)
-    dot = fullspace.dot(fullspace.weighted(terms), other)
-    assert inner(psi, phi) == GaussianRational(dot * scale * other_scale, 0)
+    assert (image.pm_terms, image.scale) == (fullspace.apply(op, terms), scale / op.den)
+    # inner and the Casimir images through the views, the Cartesian states in the beta_2 basis:
+    # the drawn states mix helicities, which weigh 2^L each there
+    (view, view_scale), (other_view, other_view_scale) = psi.view(), phi.view()
+    dot = fullspace.dot(fullspace.weighted(view), other_view)
+    assert inner(psi, phi) == GaussianRational(dot * view_scale * other_view_scale, 0)
     group, conv = data.draw(st.sampled_from(list(CasimirGroup))), data.draw(st.sampled_from(list(Convention)))
     image = casimir_apply(nu, psi, group, conv)
-    expected = fullspace.casimir_image(nu, terms, group, conv is Convention.BARRED)
-    assert (image.terms, image.scale) == (expected, scale)
+    expected = fullspace.casimir_image(nu, view, group, conv is Convention.BARRED)
+    assert fullspace.view(image) == fullspace.canonical(expected, view_scale)

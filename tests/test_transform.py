@@ -243,8 +243,9 @@ def test_oracle_route_matches_an_inner_reference():
 
 
 def test_overlap_squares_carry_the_scales():
-    bra = FockState({(0, 2, 0): 1})
-    ket = FockState({(0, 2, 0): 5}, rational(1, 3))
+    # s^dag^2 states: helicity 0, so the Cartesian overlap is the integer dot itself
+    bra = FockState({(2, 0, 0): 1})
+    ket = FockState({(2, 0, 0): 5}, rational(1, 3))
     # <bra|ket> = 2! * 5/3 with ket.scale = 1/3; unit norms leave the squared overlap itself
     raw = [NormalizedState(bra, 1), NormalizedState(ket, 1), NormalizedState(ket.times(-1), 1)]
     assert overlap_squares(raw[:1], raw) == [[(1, 4), (1, rational(100, 9)), (-1, rational(100, 9))]]
@@ -255,11 +256,14 @@ def test_overlap_squares_carry_the_scales():
     # each state's unit, sign(scale) and scale**2 / norm_sq as (num, den), is computed once and kept
     assert [st.unit for st in raw + unit] == [(1, 1, 1), (1, 1, 9), (-1, 1, 9), (1, 1, 2), (1, 9, 450)]
     assert all(st.unit is st.unit for st in raw + unit)
-    # a Cartesian coefficient 2i, on b_1^dag beta_2^dag = i b_1^dag b_2^dag: <2i m|2i m> = 4 * 1! 1!
-    imaginary = NormalizedState(FockState({(0, 1, 1): 2}), 1)
-    assert overlap_squares([imaginary], [imaginary]) == [[(1, 16)]]
+    # 2 b_+^dag is the Cartesian 2 b_1^dag + 2i b_2^dag: <psi|psi> = 4 + 4, squared 64
+    imaginary = NormalizedState(FockState({(0, 1, 0): 2}), 1)
+    assert overlap_squares([imaginary], [imaginary]) == [[(1, 64)]]
+    # b_+^dag^2 = b_1^dag^2 + 2i b_1^dag b_2^dag - b_2^dag^2, of norm 2 + 4 + 2: helicity 2 puts 2^2 in the unit
+    plus = NormalizedState(FockState({(0, 2, 0): 1}), 1)
+    assert plus.unit == (1, 4, 1) and overlap_squares([plus], [plus]) == [[(1, 64)]]
     # <m|(3/2) m> = 2! * 3/2 = 3
-    half = NormalizedState(FockState({(0, 2, 0): 3}, rational(1, 2)), 1)
+    half = NormalizedState(FockState({(2, 0, 0): 3}, rational(1, 2)), 1)
     assert overlap_squares(raw[:1], [half]) == [[(1, 9)]]
 
 
