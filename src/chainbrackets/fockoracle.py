@@ -24,8 +24,8 @@ distinct value is one object, the first one cached.  Each overlap is one
 weighted integer dot, and one rule (`_signed_square`) turns it into the
 (sign, square) pair that both `oracle_bracket` and `overlap_squares`
 return.  No other module reads a state's integers or scale.  A memo that
-outlives its object is a pure constructor under lru_cache or a module dict
-(_SHARED, _WEIGHT, _SIZE, _ROWS), and `clear_caches` empties them all.
+outlives its object is a pure constructor under lru_cache or one of three
+module dicts (_SHARED, _WEIGHT, _ROWS), and `clear_caches` empties them all.
 
 The SO(nu) scalars also make every state symmetric under permutations of
 the modes b_3..b_nu.  A FockState therefore stores one monomial per
@@ -36,11 +36,10 @@ monomials into their representatives (the fold); the Casimir rows are folded
 the same way.  An overlap is sum d d' prod occ_j! prod_v m_v! / (nu - 2)!
 over the representatives, with m_v the multiplicities of the values in
 occ[3:]; the division is exact.  The weight prod occ_j! prod_v m_v! is
-memoized per key and |orbit| per occ[3:], one int each.  At nu <= 3 every
-orbit is one monomial and nothing is folded.  The full-space monomials exist
-only as the derived views `FockState.pm_terms` and `FockState.view`;
-`su11_commutator_check` composes operators on single full-space monomials
-with `_product_on`.
+memoized per key, one int each.  At nu <= 3 every orbit is one monomial
+and `apply` folds nothing.  The full-space monomials exist only as the derived
+views `FockState.pm_terms` and `FockState.view`; `su11_commutator_check`
+composes operators on single full-space monomials with `_product_on`.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ __all__ = [
 _ONE = rational(1)
 _SHARED: dict = {}  # the first cached object of each key and coefficient; see _shared
 _WEIGHT: dict = {}  # prod occ_j! prod_v m_v! of each orbit representative occ; see _weight
-_SIZE: dict = {}  # |orbit| of each tail occ[3:]; see _orbit_size
 _ROWS: dict = {}  # per nu, the Casimir rows and the numbering of their outputs; see casimir_apply
 
 
@@ -107,8 +105,6 @@ class CasimirGroup(Enum):
 
 def _multipliers(sa, sb) -> tuple[int, int]:
     """Integers ma, mb with sa = ma * c and sb = mb * c for one rational c."""
-    if sa == sb:
-        return 1, 1
     na, da = sa.numerator, sa.denominator
     nb, db = sb.numerator, sb.denominator
     g = math.gcd(na, nb)
@@ -121,11 +117,8 @@ def _nonzero(terms: dict) -> dict:
 
 
 def _orbit_size(tail: tuple) -> int:
-    """|orbit| = (nu - 2)! / prod_v m_v!, m_v the multiplicity of the value v in tail = rep[3:]; memoized."""
-    size = _SIZE.get(tail)
-    if size is None:
-        size = _SIZE[tail] = math.factorial(len(tail)) // math.prod(map(math.factorial, map(tail.count, set(tail))))
-    return size
+    """|orbit| = (nu - 2)! / prod_v m_v!, m_v the multiplicity of the value v in tail = rep[3:]."""
+    return math.factorial(len(tail)) // math.prod(map(math.factorial, map(tail.count, set(tail))))
 
 
 def _arrangements(tail: tuple):
@@ -176,8 +169,9 @@ class FockState:
     `pm_terms` is the derived full-space view {occ: c}, one int per monomial.
     The constructor takes such full-space terms.  It raises LabelError
     unless every key has one length nu + 1 >= 3 and no negative entry, every
-    coefficient is an int and the scale an int or a Fraction; it drops
-    zeros, and raises SymmetryError unless the terms are symmetric.
+    coefficient is an int and the scale an int or a Fraction; it stores the
+    scale as a Fraction, drops zeros (a zero scale gives the zero state, as
+    times(0) does), and raises SymmetryError unless the terms are symmetric.
     Instances are treated as immutable and may share their dict; the cached
     states also share their keys and ints, one object per distinct value.
     """
@@ -190,9 +184,9 @@ class FockState:
             raise LabelError("the keys must be occupation tuples of one length nu + 1 >= 3, none negative")
         if not all(isinstance(c, int) for c in terms.values()) or not isinstance(scale, (int, rational)):
             raise LabelError("the coefficients must be ints and the scale an int or a Fraction")
-        terms = _nonzero(terms)
+        terms = _nonzero(terms) if scale else {}
         self.orbits = _fold(terms)
-        self.scale = scale
+        self.scale = rational(scale) if scale else _ONE
         # the folded orbits give back exactly the terms they came from iff those are symmetric
         if self.pm_terms != terms:
             raise SymmetryError("the terms are not symmetric under permutations of the modes 3..nu")
@@ -210,9 +204,10 @@ class FockState:
         """Full-space view {occ: c} in the b_+, b_- modes: every monomial's int, under the same scale."""
         out = {}
         for rep, d in self.orbits.items():
-            c = d // _orbit_size(rep[3:])
+            tails = list(_arrangements(rep[3:]))  # |orbit| of them
+            c = d // len(tails)
             head = rep[:3]
-            for tail in _arrangements(rep[3:]):
+            for tail in tails:
                 out[head + tail] = c
         return out
 
@@ -255,7 +250,9 @@ class FockState:
         return FockState._of(orbits, self.scale * g)
 
     def times(self, scalar) -> "FockState":
-        """Scale by an exact real scalar (int or rational); a nonzero one shares the integers."""
+        """Scale by an int or a Fraction, else LabelError; a nonzero scalar shares the integers."""
+        if not isinstance(scalar, (int, rational)):
+            raise LabelError("the scalar must be an int or a Fraction")
         if not scalar or not self.orbits:
             return FockState._of({}, _ONE)
         return FockState._of(self.orbits, self.scale * scalar)
@@ -501,11 +498,6 @@ def pair_creation_b(nu: int) -> BosonOperator:
 
 
 @lru_cache(maxsize=None)
-def pair_annihilation_b(nu: int) -> BosonOperator:
-    return BosonOperator([(c, (), pw) for c, pw in _pair(nu)])
-
-
-@lru_cache(maxsize=None)
 def pair_creation_full(nu: int, barred: bool = False) -> BosonOperator:
     """Scalar-squared plus (standard) or minus (barred) the b-space pair creator."""
     sign = -1 if barred else 1
@@ -590,15 +582,12 @@ class NormalizedState:
     The raw FockState keeps exact integer coefficients under a rational
     scale (with the ladder phase already folded in); its exact Cartesian
     squared norm, 2^tau times its integer dot (see FockState), is carried
-    alongside so the pair has squared norm 1 without ever forming an
-    irrational number.
+    alongside, so _real_norm_sq(state) / norm_sq == 1 without ever forming
+    an irrational number.
     """
 
     state: FockState
     norm_sq: object
-
-    def norm_squared(self):
-        return _real_norm_sq(self.state) / self.norm_sq
 
     @cached_property
     def unit(self) -> tuple[int, int, int]:
@@ -701,15 +690,16 @@ def build_chain1_state(nu: int, N: int, n: int, tau: int) -> NormalizedState:
     return NormalizedState(psi, _real_norm_sq(psi))
 
 
-def _kernel_ints(columns: list[dict]) -> tuple[list[int], int]:
-    """Kernel vector of an integer matrix given column by column, and its free column.
+def _kernel_ints(columns: list[dict]) -> list[int]:
+    """Kernel vector of an integer matrix given column by column, as a list of ints.
 
     Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
     with pivot p in column c and previous pivot p_prev, every other row r
     becomes (p * r - r[c] * pivot_row) / p_prev.  Every entry stays a minor
     of the matrix, so the division is exact, and at the end every pivot
     equals the last pivot d.  The free column's entry is d and pivot column
-    c_r's entry is -(row r)[free], all integers.
+    c_r's entry is -(row r)[free], all integers.  A kernel of any dimension
+    but 1 raises KernelError.
     """
     ncols = len(columns)
     keys = sorted(set().union(*columns))
@@ -746,7 +736,7 @@ def _kernel_ints(columns: list[dict]) -> tuple[list[int], int]:
     vec[f0] = prev
     for r, col in enumerate(pivot_cols):
         vec[col] = -rows[r][f0]
-    return vec, f0
+    return vec
 
 
 def _chain2_intrinsic(nu: int, sigma: int, t: int, barred: bool) -> FockState:
@@ -769,7 +759,7 @@ def _chain2_intrinsic(nu: int, sigma: int, t: int, barred: bool) -> FockState:
     # kernel of the images' integer parts combines the spans' integer parts
     # (the ladder phases sit in the scales; only span[0]'s, the seed's 1, enters)
     # (folding scales each row by |orbit|, which leaves the kernel as it is)
-    vec, _ = _kernel_ints([apply(down, v).orbits for v in span])
+    vec = _kernel_ints([apply(down, v).orbits for v in span])
     if not vec[0]:
         raise KernelError("kernel vector has no pure scalar-ladder component")
     out: dict = {}
@@ -892,10 +882,12 @@ def casimir_apply(
 
     C_SO(nu) sums the rotations' squares G**2; C_SO(nu+1) adds those of the
     mixings.  Both sums are written as sums of integer products sign * a b
-    (see _rotations and _mixings).  _ROWS[nu] holds (ids, occs, tables): a numbering of orbit
-    representatives, occs[ids[occ]] == occ, and one table of rows per part,
-    filled as psi's orbits meet them.  rows[rep] is the flat tuple
-    (id_1, c_1, id_2, c_2, ...) of the nonzero integer coefficients of
+    (see _rotations and _mixings, which build them once per nu).  _ROWS[nu]
+    holds (ids, occs, tables): a numbering of orbit representatives,
+    occs[ids[occ]] == occ, and tables[part] = rows, one dict per part, filled
+    as psi's orbits meet them.  A part's generators must have integer
+    coefficients, checked when its rows are created.  rows[rep] is the flat
+    tuple (id_1, c_1, id_2, c_2, ...) of the nonzero integer coefficients of
     sum sign a b |rep>, composed with `_product_on` and folded into
     representatives.  No single product commutes with the permutations of
     the modes 3..nu, but the sum does, so the folded row is exact.  The SO(nu)
@@ -913,23 +905,20 @@ def casimir_apply(
     out: dict = {}
     get = out.get
     for part in (None,) if group is CasimirGroup.SO_NU else (None, barred):
-        table = tables.get(part)
-        if table is None:
-            gens = _rotations(nu) if part is None else _mixings(nu, part)
+        gens = _rotations(nu) if part is None else _mixings(nu, part)
+        rows = tables.get(part)
+        if rows is None:
             if any(a.den != 1 or b.den != 1 for a, b, _ in gens):
                 raise KernelError("a Casimir generator has non-integer coefficients")
-            table = tables[part] = (gens, {})
-        gens, rows = table
+            rows = tables[part] = {}
         for occ, d in psi.orbits.items():
             row = rows.get(occ)
             if row is None:
                 acc: dict = {}
                 for a, b, sign in gens:
                     _product_on(a, b, occ, sign, acc)
-                if nu > 3:
-                    acc = _fold(acc)
                 flat = []
-                for key, c in acc.items():
+                for key, c in _fold(acc).items():
                     if c:
                         i = ids.get(key)
                         if i is None:
@@ -1042,8 +1031,8 @@ _CACHED = tuple(fn for fn in vars().values() if hasattr(fn, "cache_clear"))
 
 
 def clear_caches() -> None:
-    """Drop memoized states, shared keys and ints, orbit weights and sizes, Casimir rows and operators."""
+    """Drop memoized states, shared keys and ints, orbit weights, Casimir rows and operators."""
     for fn in _CACHED:
         fn.cache_clear()
-    for memo in (_SHARED, _WEIGHT, _SIZE, _ROWS):
+    for memo in (_SHARED, _WEIGHT, _ROWS):
         memo.clear()

@@ -155,7 +155,7 @@ def chain_states(nu: int, n_max: int) -> tuple[dict, dict]:
         for sigma in range(t, n_max + 1):
             for barred in (False, True):
                 span = [chain1[sigma, t + 2 * q, t] for q in range((sigma - t) // 2 + 1)]
-                vec, _ = _kernel_ints([apply(pair_full(nu, barred, False), v) for v, _ in span])
+                vec = _kernel_ints([apply(pair_full(nu, barred, False), v) for v, _ in span])
                 out: dict = {}
                 for c, (v, _) in zip(vec, span):
                     for occ, a in v.items():

@@ -30,6 +30,7 @@ from chainbrackets.fockoracle import (
     _kernel_ints,
     _mixings,
     _monomials,
+    _orbit_size,
     _product_on,
     _raising,
     _real_norm_sq,
@@ -47,7 +48,6 @@ from chainbrackets.fockoracle import (
     number_operator,
     oracle_bracket,
     overlap_squares,
-    pair_annihilation_b,
     pair_annihilation_full,
     pair_creation_b,
     pair_creation_full,
@@ -185,7 +185,6 @@ def _defining_formulas(nu):
     ]
     cases += [
         ("pair_creation_b", pair_creation_b(nu), 1, nu - 1, [(one, w) for w in pair_b_dag]),
-        ("pair_annihilation_b", pair_annihilation_b(nu), 1, nu - 1, [(one, w) for w in pair_b]),
         ("number_operator", number_operator(nu), 1, nu + 1, [(one, w) for w in [dag(0) + ann(0)] + n_b]),
         ("b_number_operator", b_number_operator(nu), 1, nu, [(one, w) for w in n_b]),
         ("s_number_operator", s_number_operator(nu), 1, 1, [(one, dag(0) + ann(0))]),
@@ -330,7 +329,7 @@ def test_seed_is_killed_by_pair_annihilator_and_carries_seniority():
     for nu in (2, 3, 5):
         for tau in range(5):
             seed = seed_state(nu, tau)
-            assert apply(pair_annihilation_b(nu), seed).is_zero
+            assert apply(quasispin_minus(nu), seed).is_zero
             assert is_exact_eigenstate(nu, seed, CasimirGroup.SO_NU, tau * (tau + nu - 2))
 
 
@@ -344,7 +343,7 @@ def test_chain1_states():
     assert st.norm_sq == 4
     st = build_chain1_state(2, 1, 1, 1)
     assert st.state == seed_state(2, 1)
-    assert st.norm_squared() == 1
+    assert _real_norm_sq(st.state) / st.norm_sq == 1
 
 
 def test_chain1_eigenvalues():
@@ -471,12 +470,12 @@ def test_nullspace_guards():
     # independent columns: kernel is empty, must be rejected too
     with pytest.raises(KernelError):
         _kernel_ints([a, {(0, 1): 1}])
-    # a one-dimensional kernel comes back as integers, with its free column
-    assert _kernel_ints([a, {(1, 0): -1}]) == ([1, 1], 1)
-    assert _kernel_ints([a, {(1, 0): 3}]) == ([-3, 1], 1)
+    # a one-dimensional kernel comes back as a list of integers
+    assert _kernel_ints([a, {(1, 0): -1}]) == [1, 1]
+    assert _kernel_ints([a, {(1, 0): 3}]) == [-3, 1]
     # rows (2, 1, 3) and (1, 3, 4): the second pivot's row is divided exactly by the first pivot, 2
     columns = [{(0, 1): 2, (1, 0): 1}, {(0, 1): 1, (1, 0): 3}, {(0, 1): 3, (1, 0): 4}]
-    assert _kernel_ints(columns) == ([-5, -5, 5], 2)
+    assert _kernel_ints(columns) == [-5, -5, 5]
 
 
 def test_constructor_drops_zero_pairs_and_keeps_the_scale():
@@ -544,6 +543,50 @@ def test_times_zero_and_negative_scalars():
     assert a.times(-2) == FockState({(1, 0, 0): -1, (0, 1, 0): -6})
     assert a.times(rational(-1, 3)).times(-3) == a
     assert _added(a.times(-1), a).is_zero
+    # a float scalar is refused, as the constructor refuses a float scale
+    for scalar in (0.5, 2.0):
+        with pytest.raises(LabelError, match="an int or a Fraction"):
+            a.times(scalar)
+
+
+def test_an_int_scale_stays_exact_through_apply():
+    # an int scale over an operator's den made a float: inner read 36.0, state_to_json
+    # raised TypeError at scale 2, and after Q0 it printed "8.75" while the unit and
+    # the norm raised AttributeError
+    psi = FockState({(0, 1, 0): 1}, 3)
+    assert psi.scale == 3 and isinstance(psi.scale, rational)
+    out = apply(quasispin_plus(2), psi)
+    assert out.scale == rational(3, 2) and isinstance(out.scale, rational)
+    assert inner(out, out).re == 36 and isinstance(inner(out, out).re, rational)
+    assert state_to_json(apply(quasispin_plus(2), FockState({(0, 1, 0): 1}, 2))) == [
+        {"occ": [0, 0, 3], "re": "0", "im": "1"},
+        {"occ": [0, 1, 2], "re": "1", "im": "0"},
+        {"occ": [0, 2, 1], "re": "0", "im": "1"},
+        {"occ": [0, 3, 0], "re": "1", "im": "0"},
+    ]
+    # Q0 = (2 n_b + 3)/4 is 5/4 on b_+^dag: the Cartesian 35/4 (b_1^dag + i b_2^dag)
+    out = apply(quasispin_zero(3), FockState({(0, 1, 0, 0): 1}, 7))
+    assert out.scale == rational(7, 4)
+    assert state_to_json(out) == [
+        {"occ": [0, 0, 1, 0], "re": "0", "im": "35/4"},
+        {"occ": [0, 1, 0, 0], "re": "35/4", "im": "0"},
+    ]
+    assert NormalizedState(out, 1).unit == (1, 98, 16)
+    assert _real_norm_sq(out) == rational(1225, 8) == inner(out, out).re
+
+
+def test_a_zero_scale_gives_the_zero_state():
+    # a zero scale kept its terms: is_zero read False, the state differed from FockState({})
+    # and hashed apart, state_to_json printed all-"0" records, the norm read 0 and
+    # casimir_check divided by zero
+    z = FockState({(0, 1, 0): 1}, 0)
+    assert z.is_zero and z == FockState({}) and hash(z) == hash(FockState({}))
+    assert z == FockState({(0, 1, 0): 1}, rational(0)) == FockState({(0, 1, 0): 1}).times(0)
+    assert state_to_json(z) == []
+    with pytest.raises(KernelError):
+        _real_norm_sq(z)
+    with pytest.raises(LabelError, match="nonzero state"):
+        casimir_check(2, z, CasimirGroup.SO_NU)
 
 
 def test_equal_representations_hash_alike():
@@ -759,8 +802,7 @@ def test_casimir_row_memo_is_shared_and_cleared(cold_caches):
     psi = build_chain2_state(3, 4, 2, 1, Convention.BARRED).state
     casimir_apply(3, psi, CasimirGroup.SO_NU_PLUS_ONE, Convention.BARRED)
     ids, occs, tables = fockoracle._ROWS[3]
-    (rot_gens, rotations), (mix_gens, mixings) = tables[None], tables[True]
-    assert rot_gens == _rotations(3) and mix_gens == _mixings(3, True)
+    rotations, mixings = tables[None], tables[True]
     assert set(rotations) == set(mixings) == set(psi.pm_terms)
     # SO(nu) has no convention: the barred check filled the rows the standard one reads
     casimir_apply(3, psi, CasimirGroup.SO_NU, Convention.STANDARD)
@@ -968,24 +1010,27 @@ def test_cached_states_share_each_key_and_pair(cold_caches):
         assert rebuilt == psi and hash(rebuilt) == hash(psi), label
 
 
-def test_weight_and_size_memos_hold_one_exact_int_per_key(cold_caches):
-    # every chain state at nu <= 6, N <= 8 and every bracket between them fill the memos;
-    # each entry is checked against a count written here, and a cold rebuild changes nothing
+def test_weight_memo_holds_one_exact_int_per_key(cold_caches):
+    # every chain state at nu <= 6, N <= 8 and every bracket between them fill the memo;
+    # each entry and each orbit size is checked against a count written here, and a
+    # cold rebuild changes nothing
+    states = []
+
     def brackets():
         out = {}
         for nu, N, tau, ns, sigmas in _bracket_blocks(6, 8):
             for n in ns:
-                build_chain1_state(nu, N, n, tau)
+                states.append(build_chain1_state(nu, N, n, tau).state)
             for sigma in sigmas:
                 for conv in Convention:
-                    build_chain2_state(nu, N, sigma, tau, conv)
+                    states.append(build_chain2_state(nu, N, sigma, tau, conv).state)
                     for n in ns:
                         out[nu, N, n, sigma, tau, conv] = oracle_bracket(nu, N, n, sigma, tau, conv)
         return out
 
     first = brackets()
-    weights, sizes = fockoracle._WEIGHT, fockoracle._SIZE
-    assert weights and sizes
+    weights = fockoracle._WEIGHT
+    assert weights
     for occ, w in weights.items():
         tail = occ[3:]
         assert w == math.prod(math.factorial(x) for x in occ) * math.prod(
@@ -995,11 +1040,17 @@ def test_weight_and_size_memos_hold_one_exact_int_per_key(cold_caches):
         assert fockoracle._SHARED[occ] is occ
     # some tail holds a run of three equal values, so a run factor above 2 is checked
     assert any(len(occ) > 6 and occ[4] == occ[5] == occ[6] for occ in weights)
+    # |orbit| as canonical() computes it and as pm_terms enumerates it
+    sizes = {occ[3:]: _orbit_size(occ[3:]) for psi in states for occ in psi.orbits}
     for tail, size in sizes.items():
         assert size == len(set(permutations(tail))), tail
     assert any(size > 1 for size in sizes.values())
+    for psi in states:
+        terms = psi.pm_terms
+        assert len(terms) == sum(sizes[occ[3:]] for occ in psi.orbits)
+        assert all(terms[occ] * sizes[occ[3:]] == d for occ, d in psi.orbits.items())
     clear_caches()
-    assert not weights and not sizes
+    assert not weights
     assert brackets() == first
 
 
